@@ -24,6 +24,12 @@
 // *brick-grid* Morton code — one add per hop instead of a decode +
 // re-encode of the full coordinate.
 //
+// Kernels read through a per-worker BrickedView (make_read_view): voxel
+// reads and row gathers alike pin bricks in the view's small ring, so only
+// a ring miss reaches the shared cache (the stream mutex, or the mmap
+// counter). A cache "hit" therefore counts a view pin served resident, not
+// a voxel or row read.
+//
 // BrickedVolume is NOT a Layout3D grid: it has no layout() and no single
 // contiguous data() storage. It opts into the VolumeBackend concept, and
 // kernels reach it through make_read_view / make_traced_view / gather_row
@@ -65,7 +71,7 @@ struct BrickOpenOptions {
 /// Counters follow the degrade-don't-fail idiom: io_error / degrade record
 /// the first reason something fell back, and stay set.
 struct BrickCacheReport {
-  std::uint64_t hits = 0;             ///< demand acquires served resident
+  std::uint64_t hits = 0;             ///< demand acquires (view pins) served resident
   std::uint64_t misses = 0;           ///< demand acquires that loaded from disk
   std::uint64_t evictions = 0;        ///< bricks displaced by LRU choice
   std::uint64_t overflow_bricks = 0;  ///< loads outside the arena (all slots pinned)
@@ -183,7 +189,9 @@ class BrickedVolume {
 /// Per-worker read view over a BrickedVolume (the PlainView counterpart).
 /// Keeps a small ring of pinned bricks and reaches neighbouring bricks by
 /// constant-amortized SFC steps on the brick-grid code — consecutive
-/// stencil taps almost never pay a full Morton encode. A view is cheap to
+/// stencil taps almost never pay a full Morton encode. Voxel reads (at)
+/// and row gathers (gather_row) share the ring, so a read on an already
+/// pinned brick touches no lock and no shared counter. A view is cheap to
 /// construct, must not outlive its volume, and must not be shared between
 /// threads (each worker builds its own; the pins make the underlying
 /// bricks safe against concurrent eviction).
@@ -222,6 +230,43 @@ class BrickedView {
                   clamp_axis(k, extents_.nz), nullptr);
   }
 
+  /// Row gather: walks the row brick segment by brick segment, pinning
+  /// each brick through the ring (the hop to the next brick along the
+  /// axis is one SFC step of the brick-grid code, never a re-encode), and
+  /// flushes maximal contiguous inner-offset runs with the shared
+  /// copy_run — so the sliding-window kernels keep their dense-scratch
+  /// fast path out-of-core. Same contract as the grid overloads in
+  /// core/gather.hpp.
+  void gather_row(Axis3 axis, std::uint32_t i, std::uint32_t j, std::uint32_t k,
+                  std::uint32_t n, float* out, GatherRunStats* rs = nullptr) const noexcept {
+    std::uint32_t c[3] = {i, j, k};
+    const auto a = static_cast<unsigned>(axis);
+    assert(n == 0 || extents_.contains(i, j, k));
+    assert(n == 0 || c[a] + n <= (a == 0 ? extents_.nx : a == 1 ? extents_.ny : extents_.nz));
+    const std::size_t lstride = std::size_t{1} << (a * shift_);
+    std::uint32_t done = 0;
+    while (done < n) {
+      const Entry& e = pin(c[0] >> shift_, c[1] >> shift_, c[2] >> shift_);
+      const std::uint32_t seg = std::min(n - done, mask_ + 1 - (c[a] & mask_));
+      const std::size_t lbase = local_index(c[0], c[1], c[2]);
+      std::uint32_t l = 0;
+      while (l < seg) {
+        const std::uint32_t begin = lut_[lbase + l * lstride];
+        std::uint32_t run = 1;
+        while (l + run < seg && lut_[lbase + (l + run) * lstride] == begin + run) {
+          ++run;
+        }
+        detail::copy_run(e.data + begin, out + done + l, run);
+        if (rs != nullptr) {
+          rs->note(run);
+        }
+        l += run;
+      }
+      done += seg;
+      c[a] += seg;
+    }
+  }
+
   /// Releases every pinned brick (also run by the destructor).
   void reset() noexcept {
     for (Entry& e : entries_) {
@@ -241,9 +286,31 @@ class BrickedView {
   [[nodiscard]] const float* fetch(std::uint32_t i, std::uint32_t j, std::uint32_t k,
                                    std::uint64_t* synth) const noexcept {
     assert(extents_.contains(i, j, k));
-    const std::uint32_t bi = i >> shift_;
-    const std::uint32_t bj = j >> shift_;
-    const std::uint32_t bk = k >> shift_;
+    const Entry& e = pin(i >> shift_, j >> shift_, k >> shift_);
+    const std::size_t off = lut_[local_index(i, j, k)];
+    if (synth != nullptr) {
+      *synth = e.rank * (std::size_t{1} << (3 * shift_)) + off;
+    }
+    return e.data + off;
+  }
+
+ private:
+  struct Entry {
+    std::uint64_t code = 0;
+    const float* data = nullptr;
+    std::uint32_t slot = BrickedVolume::kNoSlot;
+    std::uint64_t rank = 0;
+    bool valid = false;
+  };
+  static constexpr unsigned kEntries = 8;  ///< covers a 2x2x2 brick stencil corner
+
+  /// The ring entry holding brick (bi, bj, bk), pinning it on a ring miss.
+  /// Invariant: while have_last_, entries_[cur_] holds the last brick.
+  [[nodiscard]] const Entry& pin(std::uint32_t bi, std::uint32_t bj,
+                                 std::uint32_t bk) const noexcept {
+    if (have_last_ && bi == last_bx_ && bj == last_by_ && bk == last_bz_) {
+      return entries_[cur_];  // same brick as the last read: nothing to do
+    }
     std::uint64_t code;
     if (have_last_) {
       // Constant-amortized SFC neighbour-finding on the brick grid: hop
@@ -270,35 +337,14 @@ class BrickedView {
     last_by_ = bj;
     last_bz_ = bk;
     last_code_ = code;
-
-    const Entry* e = &entries_[cur_];
-    if (!e->valid || e->code != code) {
-      e = find_or_pin(code);
-    }
-    const std::size_t off =
-        lut_[(i & mask_) + (static_cast<std::size_t>(j & mask_) << shift_) +
-             (static_cast<std::size_t>(k & mask_) << (2 * shift_))];
-    if (synth != nullptr) {
-      *synth = e->rank * (std::size_t{1} << (3 * shift_)) + off;
-    }
-    return e->data + off;
+    return find_or_pin(code);
   }
 
- private:
-  struct Entry {
-    std::uint64_t code = 0;
-    const float* data = nullptr;
-    std::uint32_t slot = BrickedVolume::kNoSlot;
-    std::uint64_t rank = 0;
-    bool valid = false;
-  };
-  static constexpr unsigned kEntries = 8;  ///< covers a 2x2x2 brick stencil corner
-
-  [[nodiscard]] const Entry* find_or_pin(std::uint64_t code) const noexcept {
+  [[nodiscard]] const Entry& find_or_pin(std::uint64_t code) const noexcept {
     for (unsigned n = 0; n < kEntries; ++n) {
       if (entries_[n].valid && entries_[n].code == code) {
         cur_ = n;
-        return &entries_[n];
+        return entries_[n];
       }
     }
     rr_ = (rr_ + 1) % kEntries;
@@ -309,7 +355,14 @@ class BrickedView {
     const BrickedVolume::BrickRef ref = vol_->acquire_brick(code);
     e = Entry{code, ref.data, ref.slot, ref.rank, true};
     cur_ = rr_;
-    return &e;
+    return e;
+  }
+
+  /// Index of voxel (i, j, k)'s brick-local coordinate into the inner LUT.
+  [[nodiscard]] std::size_t local_index(std::uint32_t i, std::uint32_t j,
+                                        std::uint32_t k) const noexcept {
+    return (i & mask_) + (static_cast<std::size_t>(j & mask_) << shift_) +
+           (static_cast<std::size_t>(k & mask_) << (2 * shift_));
   }
 
   static std::uint32_t clamp_axis(std::int64_t v, std::uint32_t n) noexcept {
@@ -390,57 +443,19 @@ template <AccessSink SinkT>
   return volume.cache_salt();
 }
 
-/// Bricked row gather: walks the row brick segment by brick segment,
-/// hopping to the next brick along the axis with one SFC increment of the
-/// brick-grid code (never a re-encode), and flushes maximal contiguous
-/// inner-offset runs with the shared copy_run — so the sliding-window
-/// kernels keep their dense-scratch fast path out-of-core.
+/// Bricked row gathers. Kernels gather through the per-worker view they
+/// already hold, so consecutive rows on a pinned brick skip the cache; the
+/// volume overload pins through a temporary view, once per call.
+inline void gather_row(const BrickedView& view, Axis3 axis, std::uint32_t i,
+                       std::uint32_t j, std::uint32_t k, std::uint32_t n, float* out,
+                       GatherRunStats* rs = nullptr) {
+  view.gather_row(axis, i, j, k, n, out, rs);
+}
+
 inline void gather_row(const BrickedVolume& g, Axis3 axis, std::uint32_t i,
                        std::uint32_t j, std::uint32_t k, std::uint32_t n, float* out,
                        GatherRunStats* rs = nullptr) {
-  if (n == 0) {
-    return;
-  }
-  const unsigned s = g.edge_shift();
-  const std::uint32_t edge = 1u << s;
-  const std::uint32_t mask = edge - 1;
-  const std::uint32_t* lut = g.inner_offsets();
-  std::uint32_t ci = i, cj = j, ck = k;
-  std::uint32_t* walk = axis == Axis3::kX ? &ci : axis == Axis3::kY ? &cj : &ck;
-  const std::size_t lstride = axis == Axis3::kX
-                                  ? std::size_t{1}
-                                  : axis == Axis3::kY ? std::size_t{edge}
-                                                      : std::size_t{edge} * edge;
-  std::uint64_t code = morton_encode_3d(ci >> s, cj >> s, ck >> s);
-  std::uint32_t done = 0;
-  while (done < n) {
-    const BrickedVolume::BrickRef ref = g.acquire_brick(code);
-    const std::uint32_t local = *walk & mask;
-    const std::uint32_t seg = std::min(n - done, edge - local);
-    const std::size_t lbase = (ci & mask) + (static_cast<std::size_t>(cj & mask) << s) +
-                              (static_cast<std::size_t>(ck & mask) << (2 * s));
-    std::uint32_t l = 0;
-    while (l < seg) {
-      const std::uint32_t begin = lut[lbase + l * lstride];
-      std::uint32_t run = 1;
-      while (l + run < seg && lut[lbase + (l + run) * lstride] == begin + run) {
-        ++run;
-      }
-      detail::copy_run(ref.data + begin, out + done + l, run);
-      if (rs != nullptr) {
-        rs->note(run);
-      }
-      l += run;
-    }
-    g.release_brick(ref.slot);
-    done += seg;
-    *walk += seg;
-    if (done < n) {
-      // SFC hop to the next brick along the axis.
-      code = axis == Axis3::kX ? morton_inc_x(code)
-                               : axis == Axis3::kY ? morton_inc_y(code) : morton_inc_z(code);
-    }
-  }
+  BrickedView(g).gather_row(axis, i, j, k, n, out, rs);
 }
 
 }  // namespace sfcvis::core

@@ -20,6 +20,7 @@
 #include <cstdint>
 #include <utility>
 
+#include "sfcvis/core/gather.hpp"
 #include "sfcvis/core/gmorton.hpp"
 #include "sfcvis/core/grid.hpp"
 
@@ -70,10 +71,21 @@ class PlainView {
     return grid_->at_clamped(i, j, k);
   }
   [[nodiscard]] const Extents3D& extents() const noexcept { return grid_->extents(); }
+  [[nodiscard]] const Grid3D<T, LayoutT>& grid() const noexcept { return *grid_; }
 
  private:
   const Grid3D<T, LayoutT>* grid_;
 };
+
+/// Row gather through a plain view: forwards to the grid's layout-specialized
+/// overload (core/gather.hpp), so kernels can gather through the view they
+/// read with on every backend (core/bricked.hpp has the BrickedView one).
+template <class T, Layout3D LayoutT>
+void gather_row(const PlainView<T, LayoutT>& view, Axis3 axis, std::uint32_t i,
+                std::uint32_t j, std::uint32_t k, std::uint32_t n, T* out,
+                GatherRunStats* rs = nullptr) {
+  gather_row(view.grid(), axis, i, j, k, n, out, rs);
+}
 
 /// Read view that reports every element access to an AccessSink, as a byte
 /// address rebased to a fixed synthetic origin: the reported address is

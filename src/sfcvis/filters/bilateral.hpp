@@ -470,13 +470,13 @@ void bilateral_pencil_gather(const VolT& src, core::ArrayVolume& dst,
     for (std::uint32_t du = 0; du < W; ++du) {
       switch (params.pencil) {
         case PencilAxis::kX:  // plane spans (y, z): rows along z
-          core::gather_row(src, core::Axis3::kZ, s, a0 + du, b0, W, plane + du * W, rs);
+          core::gather_row(view, core::Axis3::kZ, s, a0 + du, b0, W, plane + du * W, rs);
           break;
         case PencilAxis::kY:  // plane spans (z, x): rows along x
-          core::gather_row(src, core::Axis3::kX, a0, s, b0 + du, W, plane + du * W, rs);
+          core::gather_row(view, core::Axis3::kX, a0, s, b0 + du, W, plane + du * W, rs);
           break;
         case PencilAxis::kZ:  // plane spans (y, x): rows along x
-          core::gather_row(src, core::Axis3::kX, a0, b0 + du, s, W, plane + du * W, rs);
+          core::gather_row(view, core::Axis3::kX, a0, b0 + du, s, W, plane + du * W, rs);
           break;
       }
     }

@@ -107,7 +107,7 @@ void gaussian_pencil_gather(const VolT& src, core::ArrayVolume& dst,
   const auto gather_plane = [&](std::uint32_t s) {
     float* plane = scratch.ring.data() + (s % W) * plane_sz;
     for (std::uint32_t du = 0; du < W; ++du) {
-      core::gather_row(src, core::Axis3::kZ, s, j - r + du, k - r, W,
+      core::gather_row(view, core::Axis3::kZ, s, j - r + du, k - r, W,
                        plane + du * W, nullptr);
     }
   };

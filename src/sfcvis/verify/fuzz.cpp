@@ -155,7 +155,9 @@ AnyVolume make_bricked_mirror(const AnyVolume& src, SplitMix64& rng,
                               std::ostringstream& desc) {
   namespace fs = std::filesystem;
   core::BrickPackOptions popts;
-  static constexpr std::uint32_t kEdges[] = {8, 16, 32};
+  // Edge 4 gives quick-size volumes more bricks than a view's 8-entry pin
+  // ring holds, so the kernels and the gather sweep replace ring entries.
+  static constexpr std::uint32_t kEdges[] = {4, 8, 16, 32};
   popts.brick_edge = rng.pick(kEdges);
   popts.inner_kind = static_cast<LayoutKind>(rng.below(5));
   static constexpr std::uint32_t kInnerTiles[] = {2, 4, 8};
@@ -222,7 +224,13 @@ VolumeSet make_volumes(const Extents3D& e, std::uint64_t content_seed, unsigned 
 /// against a plain at() walk. This is the primitive the sliding-window
 /// bilateral path trusts; the ZOrderLayout overload walks the curve
 /// incrementally, so misbehaviour shows up here before it smears into a
-/// whole filtered volume.
+/// whole filtered volume. Every row goes through one long-lived read view,
+/// as in the kernels, and a final sweep gathers the whole volume row by row
+/// along a random axis (one check). On the bricked mirror (usually a stream
+/// cache smaller than the file) pins then carry over between rows, and the
+/// sweep visits every brick, so the view's pin ring replaces entries
+/// whenever the file has more bricks than the ring while the cache evicts
+/// underneath it.
 template <core::VolumeBackend VolT>
 void spot_check_gather(FuzzSummary& summary, const VolT& grid,
                        SplitMix64& rng, unsigned rows) {
@@ -230,6 +238,7 @@ void spot_check_gather(FuzzSummary& summary, const VolT& grid,
   if constexpr (requires { typename VolT::layout_type; }) {
     backend_name = VolT::layout_type::name().data();
   }
+  const auto view = core::make_read_view(grid);
   const Extents3D& e = grid.extents();
   for (unsigned rep = 0; rep < rows; ++rep) {
     const auto axis = static_cast<core::Axis3>(rng.below(3));
@@ -244,7 +253,7 @@ void spot_check_gather(FuzzSummary& summary, const VolT& grid,
     const auto count = static_cast<std::uint32_t>(rng.range(1, len - along));
 
     std::vector<float> out(count);
-    core::gather_row(grid, axis, i, j, k, count, out.data());
+    core::gather_row(view, axis, i, j, k, count, out.data());
 
     std::ostringstream ctx;
     ctx << "gather_row [" << backend_name << "] axis=" << static_cast<int>(axis) << " start=("
@@ -267,6 +276,36 @@ void spot_check_gather(FuzzSummary& summary, const VolT& grid,
                               axis == core::Axis3::kZ ? start + d : k);
                         }));
   }
+
+  // Sweep: row r of the random axis a starts at c[a] = 0, with the other
+  // two coordinates c[u] = r % dims[u] and c[w] = r / dims[u].
+  const auto axis = static_cast<core::Axis3>(rng.below(3));
+  const auto a = static_cast<unsigned>(axis);
+  const unsigned u = (a + 1) % 3;
+  const unsigned w = (a + 2) % 3;
+  const std::uint32_t dims[3] = {e.nx, e.ny, e.nz};
+  const auto voxel = [&](std::uint64_t t) {
+    const std::uint64_t r = t / dims[a];
+    std::uint32_t c[3];
+    c[a] = static_cast<std::uint32_t>(t % dims[a]);
+    c[u] = static_cast<std::uint32_t>(r % dims[u]);
+    c[w] = static_cast<std::uint32_t>(r / dims[u]);
+    return std::tuple<std::uint32_t, std::uint32_t, std::uint32_t>(c[0], c[1], c[2]);
+  };
+  std::vector<float> swept(e.size());
+  for (std::uint64_t t = 0; t < swept.size(); t += dims[a]) {
+    const auto [i, j, k] = voxel(t);
+    core::gather_row(view, axis, i, j, k, dims[a], swept.data() + t);
+  }
+  std::ostringstream ctx;
+  ctx << "gather_row sweep [" << backend_name << "] axis=" << a;
+  record(summary, detail::compare_elements(
+                      swept.size(), Tolerance::bit_identical(), ctx.str(),
+                      [&](std::uint64_t t) {
+                        const auto [i, j, k] = voxel(t);
+                        return std::pair<float, float>(grid.at(i, j, k), swept[t]);
+                      },
+                      voxel));
 }
 
 // ---------------------------------------------------------------------------

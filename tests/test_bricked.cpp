@@ -11,7 +11,9 @@
 //    registry via exec::publish_brick_cache_metrics, and degrades — with
 //    a recorded reason — rather than failing on an impossible budget;
 //  * corrupt files are reported errors at open(), and IO failures after
-//    open yield zeroed data plus a sticky io_error, never a crash.
+//    open yield zeroed data plus a sticky io_error, never a crash;
+//  * row gathers pin through the per-worker BrickedView ring, so a kernel
+//    pass reaches the shared cache once per pinned brick, not per row.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -26,6 +28,7 @@
 #include "sfcvis/core/morton.hpp"
 #include "sfcvis/core/volume.hpp"
 #include "sfcvis/exec/execution_context.hpp"
+#include "sfcvis/filters/bilateral.hpp"
 #include "sfcvis/filters/gradient.hpp"
 #include "sfcvis/trace/trace.hpp"
 
@@ -604,6 +607,141 @@ TEST(BrickedExec, OpenBrickedHonorsMemoryPolicyAndKernelsMatch) {
   const core::BrickCacheReport delta =
       exec::publish_brick_cache_metrics(bricked.as_bricked());
   EXPECT_GT(delta.misses, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Row gathers pinned through the view
+// ---------------------------------------------------------------------------
+
+/// The gather configuration of the bilateral fast path (z pencils, r = 2).
+filters::BilateralParams gather_params() {
+  filters::BilateralParams params;
+  params.radius = 2;
+  params.pencil = filters::PencilAxis::kZ;
+  params.order = filters::LoopOrder::kZYX;
+  params.use_gather = true;
+  return params;
+}
+
+TEST(BrickedViewGather, RowsMatchAtWalkAcrossSeamsThroughOneView) {
+  // 40x24x20 at edge 8 -> a 5x3x3 brick grid. Rows on every axis start
+  // before, on and after brick seams and run across them; one view serves
+  // every row and every at() so pins carry over between calls. The 2-slot
+  // stream budget forces ring replacement to evict, reload and overflow.
+  const Extents3D e{40, 24, 20};
+  BrickPackOptions popts;
+  popts.brick_edge = 8;
+  popts.inner_kind = LayoutKind::kZOrder;
+  TempBrickFile file(e, popts);
+
+  for (const bool stream : {false, true}) {
+    BrickOpenOptions oopts;
+    if (stream) {
+      oopts.force_stream = true;
+      oopts.cache_bytes = 2 * file.info.brick_bytes();
+    }
+    const BrickedVolume vol = BrickedVolume::open(file.str(), oopts);
+    const auto view = core::make_read_view(vol);
+    std::vector<float> row(e.nx);
+    for (const core::Axis3 axis : {core::Axis3::kX, core::Axis3::kY, core::Axis3::kZ}) {
+      const auto a = static_cast<unsigned>(axis);
+      const std::uint32_t len = a == 0 ? e.nx : a == 1 ? e.ny : e.nz;
+      for (const std::uint32_t start : {0u, 5u, 7u, 8u, 9u, 15u}) {
+        for (const std::uint32_t n : {1u, 2u, 9u, len - start}) {
+          if (start + n > len) {
+            continue;
+          }
+          // Off-axis coordinates on either side of a seam, varied per row.
+          std::uint32_t c[3] = {7u + (start & 1u), 8u + (n & 1u), 15u + (n & 1u)};
+          c[a] = start;
+          core::gather_row(view, axis, c[0], c[1], c[2], n, row.data());
+          for (std::uint32_t t = 0; t < n; ++t) {
+            std::uint32_t v[3] = {c[0], c[1], c[2]};
+            v[a] += t;
+            ASSERT_EQ(row[t], view.at(v[0], v[1], v[2]))
+                << (stream ? "stream" : "mmap") << " axis " << a << " start " << start
+                << " n " << n << " t " << t;
+            ASSERT_EQ(row[t], field(v[0], v[1], v[2]));
+          }
+        }
+      }
+    }
+    EXPECT_TRUE(vol.cache_report().io_error.empty());
+  }
+}
+
+TEST(BrickedViewGather, BilateralGatherPinsPerPencilNotPerRow) {
+  // 32^3 at edge 16 -> a 2x2x2 brick grid, one worker. A pencil's view
+  // lives for that pencil, and its whole footprint lies inside the 2x2x2
+  // bricks, which the 8-entry pin ring holds without replacing any: at
+  // most 8 acquires per pencil (8,192). Pinning once per row gather instead
+  // costs at least one acquire for each of the 160 rows (32 planes x 5
+  // rows) of each of the 28 x 28 interior pencils: 125,440, over 15x the
+  // bound.
+  const Extents3D e = Extents3D::cube(32);
+  BrickPackOptions popts;
+  popts.brick_edge = 16;
+  popts.inner_kind = LayoutKind::kZOrder;
+  TempBrickFile file(e, popts);
+  const BrickedVolume vol = BrickedVolume::open(file.str());
+
+  exec::ExecutionContext ctx(1);
+  const filters::BilateralParams params = gather_params();
+  core::ArrayVolume out(e);
+  (void)vol.drain_cache_deltas();
+  filters::bilateral_parallel(vol, out, params, ctx);
+  const core::BrickCacheReport d = vol.drain_cache_deltas();
+  const std::uint64_t acquires = d.hits + d.misses;
+  const std::uint64_t pencils = filters::pencil_count(e, params.pencil);
+  EXPECT_GT(acquires, 0u);
+  EXPECT_LE(acquires, 8 * pencils) << acquires << " acquires for " << pencils << " pencils";
+
+  core::ArrayVolume want(e);
+  filters::bilateral_parallel(make_source(e), want, params, ctx);
+  for (std::uint32_t k = 0; k < e.nz; ++k) {
+    for (std::uint32_t j = 0; j < e.ny; ++j) {
+      for (std::uint32_t i = 0; i < e.nx; ++i) {
+        ASSERT_EQ(out.at(i, j, k), want.at(i, j, k)) << i << "," << j << "," << k;
+      }
+    }
+  }
+}
+
+TEST(BrickedViewGather, EightSlotsPerWorkerNeverOverflow) {
+  // A view never holds more than its ring's 8 pins (a replaced entry is
+  // released before the next acquire), and kernels gather through that
+  // same view, so a budget of workers x 8 slots holds every concurrent pin.
+  // 32^3 at edge 8 -> 64 bricks against 32 slots: the pass still evicts.
+  const Extents3D e = Extents3D::cube(32);
+  BrickPackOptions popts;
+  popts.brick_edge = 8;
+  popts.inner_kind = LayoutKind::kZOrder;
+  TempBrickFile file(e, popts);
+
+  exec::ExecutionContext ctx(4);
+  BrickOpenOptions oopts;
+  oopts.force_stream = true;
+  oopts.cache_bytes = std::size_t{ctx.size()} * 8 * file.info.brick_bytes();
+  const BrickedVolume vol = BrickedVolume::open(file.str(), oopts);
+  ASSERT_EQ(vol.cache_report().slot_count, ctx.size() * 8);
+
+  const filters::BilateralParams params = gather_params();
+  core::ArrayVolume out(e);
+  core::ArrayVolume want(e);
+  filters::bilateral_parallel(vol, out, params, ctx);
+  filters::bilateral_parallel(make_source(e), want, params, ctx);
+  const core::BrickCacheReport rep = vol.cache_report();
+  EXPECT_TRUE(rep.degrade.empty()) << rep.degrade;
+  EXPECT_TRUE(rep.io_error.empty()) << rep.io_error;
+  EXPECT_EQ(rep.overflow_bricks, 0u);
+  EXPECT_GT(rep.evictions, 0u);
+  for (std::uint32_t k = 0; k < e.nz; ++k) {
+    for (std::uint32_t j = 0; j < e.ny; ++j) {
+      for (std::uint32_t i = 0; i < e.nx; ++i) {
+        ASSERT_EQ(out.at(i, j, k), want.at(i, j, k)) << i << "," << j << "," << k;
+      }
+    }
+  }
 }
 
 }  // namespace
