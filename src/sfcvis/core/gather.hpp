@@ -1,46 +1,44 @@
-// Dense row gathers: copy a 1D run of voxels along one axis into contiguous
-// scratch storage.
+// Dense stencil-plane and row gathers into contiguous scratch storage.
 //
-// Stencil kernels that re-read the same neighbourhood many times (the
-// bilateral filter's sliding window, filters/bilateral.hpp) amortize layout
-// indexing by gathering each stencil plane once into dense scratch and then
-// iterating the scratch with unit stride. The gather itself is the only
-// place that pays layout cost, so it is specialized per layout:
+// The sliding-window kernels (filters/bilateral.hpp, filters/gaussian.hpp)
+// gather each W×W stencil plane once and run their tap loops over dense
+// scratch, so the gather is the only step that pays layout cost. The paper
+// (Sec. III-C) compares layouts on equal index cost — array order and
+// Z-order both index through static per-axis terms — and the gathers keep
+// that footing. On a separable layout (array, Z-order, tiled, generalized
+// Morton: index(i,j,k) == index(i,0,0) + index(0,j,0) + index(0,0,k)) the
+// off-pencil coordinates of a plane never change along a pencil, so
+// gather_plane fills W² offsets once per pencil and loads every plane as
+// data[term(s) + off[q]], one load per tap on every such layout alike.
+// Hilbert (not a sum of axis terms) and the out-of-core BrickedView gather
+// a plane as W gather_row calls through the same view. The separable
+// gather_row walks base + term(c0 + l), one load per voxel.
 //
-//  * generic         — one layout.index() per element (tiled, Hilbert, …).
-//  * ArrayOrderLayout— x rows are a single memcpy; y/z rows are fixed-stride
-//                      walks (the stride is hoisted out of the loop).
-//  * ZOrderLayout    — incremental Morton stepping (core/morton.hpp masked
-//                      ripple-add; Holzmüller, arXiv:1710.06384) on cubic
-//                      curves, per-axis table stepping on anisotropic ones.
-//                      Either way the walk detects maximal contiguous index
-//                      runs and flushes each with one memcpy, so a row load
-//                      becomes a handful of run copies instead of per-voxel
-//                      table lookups (the same contiguity zorder_blocks_
-//                      contiguous exploits at block granularity).
-//
-// Precondition for all overloads: the whole row [start, start + n) lies
-// inside the grid's logical extents.
+// Precondition for every gather: the whole row or plane lies inside the
+// grid's logical extents.
 #pragma once
 
 #include <array>
 #include <bit>
+#include <concepts>
 #include <cstdint>
 #include <cstring>
 #include <limits>
+#include <type_traits>
+#include <utility>
+#include <vector>
 
 #include "sfcvis/core/gmorton.hpp"
 #include "sfcvis/core/grid.hpp"
-#include "sfcvis/core/morton.hpp"
 
 namespace sfcvis::core {
 
 /// Axis selector for row-oriented operations on 3D grids.
 enum class Axis3 : std::uint8_t { kX, kY, kZ };
 
-/// Contiguous-run statistics of gather_row calls: how long the memcpy-able
-/// index runs actually are per layout — the micro-level contiguity signal
-/// behind the paper's data-movement argument. Plain accumulator (no trace
+/// Contiguous-run statistics of gathers: how long the memcpy-able index
+/// runs actually are per layout — the micro-level contiguity signal behind
+/// the paper's data-movement argument. Plain accumulator (no trace
 /// dependency; core stays leaf): callers merge it into the trace metrics
 /// registry (filters do, under "bilateral.gather_run_len").
 struct GatherRunStats {
@@ -53,8 +51,7 @@ struct GatherRunStats {
 
   void note(std::uint64_t run) noexcept { note_runs(1, run); }
 
-  /// Records `count` runs of identical length `len` at once (the strided
-  /// paths produce exactly that shape without iterating).
+  /// Records `count` runs of identical length `len` at once.
   void note_runs(std::uint64_t count, std::uint64_t len) noexcept {
     runs += count;
     elements += count * len;
@@ -63,7 +60,65 @@ struct GatherRunStats {
     const unsigned b = len == 0 ? 0 : static_cast<unsigned>(std::bit_width(len)) - 1;
     len_log2[b < kBuckets ? b : kBuckets - 1] += count;
   }
+
+  /// Adds every run `other` recorded, as if each had been noted here.
+  void merge(const GatherRunStats& other) noexcept {
+    runs += other.runs;
+    elements += other.elements;
+    min_run = other.min_run < min_run ? other.min_run : min_run;
+    max_run = other.max_run > max_run ? other.max_run : max_run;
+    for (unsigned b = 0; b < kBuckets; ++b) {
+      len_log2[b] += other.len_log2[b];
+    }
+  }
+
+  /// Records the maximal runs of consecutive values in index(0 .. n-1).
+  template <class IndexFn>
+  void note_index_runs(std::uint32_t n, IndexFn index) {
+    std::uint32_t run = 1;
+    for (std::uint32_t l = 1; l < n; ++l, ++run) {
+      if (index(l) != index(l - 1) + 1) {
+        note(run);
+        run = 0;
+      }
+    }
+    note(run);
+  }
 };
+
+// ---------------------------------------------------------------------------
+// Separability
+// ---------------------------------------------------------------------------
+
+/// Per-axis summand of a separable layout's index: index(i, j, k) ==
+/// axis_term(l, kX, i) + axis_term(l, kY, j) + axis_term(l, kZ, k). Every
+/// term is 0 at coordinate 0 and strictly increases with the coordinate.
+template <class L>
+  requires std::same_as<L, ArrayOrderLayout> || std::same_as<L, TiledLayout>
+[[nodiscard]] std::size_t axis_term(const L& l, Axis3 axis, std::uint32_t c) noexcept {
+  return axis == Axis3::kX   ? l.index(c, 0, 0)
+         : axis == Axis3::kY ? l.index(0, c, 0)
+                             : l.index(0, 0, c);
+}
+template <class L>
+  requires std::same_as<L, ZOrderLayout> || std::same_as<L, GeneralizedMortonLayout>
+[[nodiscard]] std::size_t axis_term(const L& l, Axis3 axis, std::uint32_t c) noexcept {
+  return static_cast<std::size_t>(l.tables().axis_entry(static_cast<unsigned>(axis), c));
+}
+
+/// The separability trait: layouts whose index is a sum of per-axis terms
+/// (array, Z-order, tiled, generalized Morton). Hilbert is not.
+template <class L>
+concept SeparableLayout = Layout3D<L> && requires(const L& l, Axis3 a, std::uint32_t c) {
+  { axis_term(l, a, c) } -> std::same_as<std::size_t>;
+};
+
+/// Read views that expose an in-core grid of a separable layout (PlainView,
+/// core/traced_view.hpp): the views gather_plane serves by offset table.
+template <class V>
+concept SeparableGridView =
+    requires(const V& v) { v.grid().layout(); } &&
+    SeparableLayout<std::remove_cvref_t<decltype(std::declval<const V&>().grid().layout())>>;
 
 namespace detail {
 
@@ -81,149 +136,132 @@ inline void copy_run(const T* src, T* out, std::uint32_t run) {
   std::memcpy(out, src, run * sizeof(T));
 }
 
-/// Walks `n` voxels from Morton index `m`, advancing with `step`, and
-/// flushes every maximal contiguous index run with one copy.
-template <class T, class StepFn>
-void gather_morton_runs(const T* data, std::uint64_t m, std::uint32_t n, T* out,
-                        StepFn step, GatherRunStats* rs) {
-  std::uint32_t l = 0;
-  while (l < n) {
-    const std::uint64_t run_begin = m;
-    std::uint32_t run = 1;
-    while (l + run < n) {
-      m = step(m);  // index of element l + run
-      if (m != run_begin + run) {
-        break;
-      }
-      ++run;
-    }
-    copy_run(data + run_begin, out + l, run);
-    if (rs != nullptr) {
-      rs->note(run);
-    }
-    l += run;
-  }
-}
-
 }  // namespace detail
 
-/// Generic gather: one layout.index() per element. Works for every layout.
-/// Run stats (optional trailing `rs` on every overload) account what is
-/// memcpy-able: this path exploits no contiguity, so n runs of 1.
+// ---------------------------------------------------------------------------
+// Row gathers
+// ---------------------------------------------------------------------------
+
+/// Generic gather: one layout.index() per element (Hilbert). Run stats
+/// (optional trailing `rs` on every overload) account what is memcpy-able:
+/// this path exploits no contiguity, so n runs of 1.
 template <class T, Layout3D L>
 void gather_row(const Grid3D<T, L>& g, Axis3 axis, std::uint32_t i, std::uint32_t j,
                 std::uint32_t k, std::uint32_t n, T* out, GatherRunStats* rs = nullptr) {
-  const L& layout = g.layout();
-  const T* data = g.data();
-  switch (axis) {
-    case Axis3::kX:
-      for (std::uint32_t l = 0; l < n; ++l) {
-        out[l] = data[layout.index(i + l, j, k)];
-      }
-      break;
-    case Axis3::kY:
-      for (std::uint32_t l = 0; l < n; ++l) {
-        out[l] = data[layout.index(i, j + l, k)];
-      }
-      break;
-    case Axis3::kZ:
-      for (std::uint32_t l = 0; l < n; ++l) {
-        out[l] = data[layout.index(i, j, k + l)];
-      }
-      break;
+  std::uint32_t c[3] = {i, j, k};
+  std::uint32_t& along = c[static_cast<unsigned>(axis)];
+  for (std::uint32_t l = 0; l < n; ++l, ++along) {
+    out[l] = g.data()[g.layout().index(c[0], c[1], c[2])];
   }
   if (rs != nullptr && n > 0) {
     rs->note_runs(n, 1);
   }
 }
 
-/// Array-order gather: x rows are one memcpy, y/z rows one hoisted stride.
-template <class T>
-void gather_row(const Grid3D<T, ArrayOrderLayout>& g, Axis3 axis, std::uint32_t i,
-                std::uint32_t j, std::uint32_t k, std::uint32_t n, T* out,
-                GatherRunStats* rs = nullptr) {
-  const auto& e = g.extents();
-  const T* base = g.data() + g.layout().index(i, j, k);
-  if (axis == Axis3::kX) {
-    std::memcpy(out, base, n * sizeof(T));
-    if (rs != nullptr && n > 0) {
-      rs->note(n);
-    }
+/// Separable-layout gather: the off-axis terms are one fixed base. Terms
+/// strictly increase, so a row whose end terms lie n - 1 apart is one
+/// contiguous run and takes a single copy (array x rows).
+template <class T, SeparableLayout L>
+void gather_row(const Grid3D<T, L>& g, Axis3 axis, std::uint32_t i, std::uint32_t j,
+                std::uint32_t k, std::uint32_t n, T* out, GatherRunStats* rs = nullptr) {
+  const L& layout = g.layout();
+  const std::uint32_t c0 = axis == Axis3::kX ? i : axis == Axis3::kY ? j : k;
+  const auto term = [&](std::uint32_t l) { return axis_term(layout, axis, c0 + l); };
+  const T* base = g.data() + (layout.index(i, j, k) - term(0));
+  if (rs != nullptr && n > 0) {
+    rs->note_index_runs(n, term);
+  }
+  if (n > 0 && term(n - 1) == term(0) + (n - 1)) {
+    std::memcpy(out, base + term(0), n * sizeof(T));
     return;
   }
-  const std::size_t stride =
-      axis == Axis3::kY ? e.nx : static_cast<std::size_t>(e.nx) * e.ny;
   for (std::uint32_t l = 0; l < n; ++l) {
-    out[l] = base[l * stride];
-  }
-  if (rs != nullptr && n > 0) {
-    rs->note_runs(n, 1);
+    out[l] = base[term(l)];
   }
 }
 
-/// Z-order gather: incremental Morton/table stepping with contiguous-run
-/// memcpy. On the (common) cubic padded curve the per-voxel step is pure
-/// bit arithmetic; anisotropic curves step the per-axis deposit table.
-template <class T>
-void gather_row(const Grid3D<T, ZOrderLayout>& g, Axis3 axis, std::uint32_t i,
-                std::uint32_t j, std::uint32_t k, std::uint32_t n, T* out,
-                GatherRunStats* rs = nullptr) {
-  const ZOrderTables& tables = g.layout().tables();
-  const T* data = g.data();
-  const Extents3D& padded = tables.padded();
-  if (padded.nx == padded.ny && padded.ny == padded.nz) {
-    // Cubic padded curve == plain Morton: O(1) neighbour steps, no loads.
-    const std::uint64_t m = morton_encode_3d(i, j, k);
-    switch (axis) {
-      case Axis3::kX:
-        detail::gather_morton_runs(
-            data, m, n, out, [](std::uint64_t z) { return morton_inc_x(z); }, rs);
-        return;
-      case Axis3::kY:
-        detail::gather_morton_runs(
-            data, m, n, out, [](std::uint64_t z) { return morton_inc_y(z); }, rs);
-        return;
-      case Axis3::kZ:
-        detail::gather_morton_runs(
-            data, m, n, out, [](std::uint64_t z) { return morton_inc_z(z); }, rs);
-        return;
+// ---------------------------------------------------------------------------
+// Stencil-plane gathers
+// ---------------------------------------------------------------------------
+
+/// A W×W stencil plane sliding along one pencil: the per-worker state of
+/// gather_plane. Tap [du * W + dv] of the plane at pencil position s is
+/// the voxel at pencil coordinate s, origin + du on the outer axis and
+/// origin + dv on the row axis — the kernels' orientation: x-pencils take
+/// rows along z (outer y), y-pencils along x (outer z), z-pencils along x
+/// (outer y).
+struct PlaneWindow {
+  /// Aims the window at a pencil of `view` (`origin`'s pencil coordinate is
+  /// ignored). On a separable in-core view this fills offsets[q] = index of
+  /// tap q at pencil position 0, in reused storage, and the runs of one
+  /// plane split at row ends, as W row gathers would see them; every plane
+  /// adds the same term(s) to all offsets, so the runs hold for all.
+  template <class View>
+  void bind(const View& view, Axis3 pencil_axis, const Coord3D& origin_voxel,
+            std::uint32_t w) {
+    pencil = pencil_axis;
+    row = pencil_axis == Axis3::kX ? Axis3::kZ : Axis3::kX;
+    origin = origin_voxel;
+    width = w;
+    if constexpr (SeparableGridView<View>) {
+      offsets.resize(static_cast<std::size_t>(w) * w);
+      plane_runs = GatherRunStats{};
+      for (std::uint32_t du = 0; du < w; ++du) {
+        std::size_t* row_off = offsets.data() + static_cast<std::size_t>(du) * w;
+        for (std::uint32_t dv = 0; dv < w; ++dv) {
+          const Coord3D c = voxel(0, du, dv);
+          row_off[dv] = view.grid().layout().index(c.i, c.j, c.k);
+        }
+        plane_runs.note_index_runs(w, [row_off](std::uint32_t l) { return row_off[l]; });
+      }
     }
   }
-  // Anisotropic table curve: fix the two off-axis summands, step one table.
-  const auto ax = static_cast<unsigned>(axis);
-  const std::uint32_t c0 = axis == Axis3::kX ? i : axis == Axis3::kY ? j : k;
-  const std::uint64_t base = tables.index(i, j, k) - tables.axis_entry(ax, c0);
-  std::uint32_t l = 0;
-  while (l < n) {
-    const std::uint64_t begin = base + tables.axis_entry(ax, c0 + l);
-    std::uint32_t run = 1;
-    while (l + run < n &&
-           tables.axis_entry(ax, c0 + l + run) == tables.axis_entry(ax, c0 + l) + run) {
-      ++run;
+
+  /// Coordinates of tap (du, dv) of the plane at pencil position s; the
+  /// outer axis is the one neither the pencil nor the rows run along.
+  [[nodiscard]] Coord3D voxel(std::uint32_t s, std::uint32_t du, std::uint32_t dv) const noexcept {
+    const auto p = static_cast<unsigned>(pencil);
+    const auto r = static_cast<unsigned>(row);
+    std::uint32_t c[3] = {origin.i, origin.j, origin.k};
+    c[p] = s;
+    c[3 - p - r] += du;
+    c[r] += dv;
+    return {c[0], c[1], c[2]};
+  }
+
+  Axis3 pencil = Axis3::kX;
+  Axis3 row = Axis3::kZ;
+  Coord3D origin{};
+  std::uint32_t width = 0;
+  std::vector<std::size_t> offsets;  ///< W² tap offsets at pencil position 0
+  GatherRunStats plane_runs;         ///< run stats of one plane
+};
+
+/// Gathers the window's plane at pencil position `s` into `out` (W² values)
+/// through the view the window was bound with: one load per tap from the
+/// offset table on a separable in-core view, W gather_row calls through the
+/// same view otherwise (Hilbert; BrickedView, keeping its per-worker pins).
+/// `rs` receives the plane's contiguous runs.
+template <class View, class T>
+void gather_plane(const View& view, PlaneWindow& win, std::uint32_t s, T* out,
+                  GatherRunStats* rs = nullptr) {
+  const std::uint32_t W = win.width;
+  if constexpr (SeparableGridView<View>) {
+    const auto& grid = view.grid();
+    const T* base = grid.data() + axis_term(grid.layout(), win.pencil, s);
+    const std::size_t* off = win.offsets.data();
+    for (std::uint32_t q = 0; q < W * W; ++q) {
+      out[q] = base[off[q]];
     }
-    detail::copy_run(data + begin, out + l, run);
     if (rs != nullptr) {
-      rs->note(run);
+      rs->merge(win.plane_runs);
     }
-    l += run;
+  } else {
+    for (std::uint32_t du = 0; du < W; ++du) {
+      const Coord3D c = win.voxel(s, du, 0);
+      gather_row(view, win.row, c.i, c.j, c.k, W, out + du * W, rs);
+    }
   }
-}
-
-/// Generalized-Morton gather: the masked ripple-add neighbour step works
-/// for every interleave pattern (each axis's bit-planes sit in increasing
-/// output position), so any family member gets the same incremental
-/// run-detecting walk as the canonical Z curve — no per-voxel table loads.
-template <class T>
-void gather_row(const Grid3D<T, GeneralizedMortonLayout>& g, Axis3 axis, std::uint32_t i,
-                std::uint32_t j, std::uint32_t k, std::uint32_t n, T* out,
-                GatherRunStats* rs = nullptr) {
-  const GMortonTables& tables = g.layout().tables();
-  const T* data = g.data();
-  const std::uint64_t m = tables.index(i, j, k);
-  const auto ax = static_cast<unsigned>(axis);
-  detail::gather_morton_runs(
-      data, m, n, out, [&tables, ax](std::uint64_t z) { return tables.inc_axis(z, ax); },
-      rs);
 }
 
 }  // namespace sfcvis::core

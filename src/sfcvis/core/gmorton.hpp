@@ -19,9 +19,7 @@
 //  * GeneralizedMortonLayout — the Layout3D policy: per-axis deposit
 //    tables exactly like zorder_tables.hpp (index = xtab[i] + ytab[j] +
 //    ztab[k], three loads and two adds regardless of the pattern — the
-//    paper's equal-footing property holds for every family member), plus
-//    per-axis bit masks so neighbour stepping reuses the masked
-//    ripple-add idiom of core/morton.hpp on arbitrary patterns.
+//    paper's equal-footing property holds for every family member).
 //
 // tools/layout_tuner searches this family per (kernel, shape, machine);
 // exec::LayoutRegistry persists the winners.
@@ -116,7 +114,7 @@ class InterleavePattern {
 
 /// Precomputed per-axis deposit tables for one interleave pattern —
 /// the generalized twin of ZOrderTables (same index arithmetic, arbitrary
-/// bit placement) plus the per-axis masks neighbour stepping needs.
+/// bit placement).
 class GMortonTables {
  public:
   GMortonTables() = default;
@@ -145,50 +143,9 @@ class GMortonTables {
     return tab[c];
   }
 
-  /// Bit mask of the output positions `axis` occupies.
-  [[nodiscard]] std::uint64_t axis_mask(unsigned axis) const noexcept { return mask_[axis]; }
-
-  /// Index of the +1 neighbour along `axis` — the masked ripple-add of
-  /// core/morton.hpp with the pattern's axis mask: force the other axes'
-  /// bits to 1 so the carry ripples straight through them, add the
-  /// dilated unit (the mask's lowest set bit), re-mask. Axis arithmetic
-  /// wraps modulo the padded axis; stepping inside the grid never wraps.
-  [[nodiscard]] std::uint64_t inc_axis(std::uint64_t m, unsigned axis) const noexcept {
-    const std::uint64_t mask = mask_[axis];
-    return (((m | ~mask) + (mask & (~mask + 1))) & mask) | (m & ~mask);
-  }
-
-  /// Index of the (coordinate + d) neighbour along `axis` (d may be
-  /// negative): the delta is reduced modulo the padded axis, dilated into
-  /// the axis' bit positions, and ripple-added — one add regardless of
-  /// |d|, no decode/re-encode.
-  [[nodiscard]] std::uint64_t step_axis(std::uint64_t m, unsigned axis,
-                                        std::int32_t d) const noexcept {
-    const unsigned bits = pattern_.axis_bits(axis);
-    const std::uint32_t wrapped =
-        static_cast<std::uint32_t>(d) & ((bits >= 32 ? 0u : (1u << bits)) - 1u);
-    const std::uint64_t mask = mask_[axis];
-    const std::uint64_t dd = deposit(wrapped, mask);
-    return (((m | ~mask) + dd) & mask) | (m & ~mask);
-  }
-
-  /// Scatters the low bits of `v` onto the set bits of `mask` (portable
-  /// PDEP): bit n of `v` lands on the n-th set bit of `mask`.
-  [[nodiscard]] static std::uint64_t deposit(std::uint64_t v, std::uint64_t mask) noexcept {
-    std::uint64_t out = 0;
-    for (std::uint64_t m = mask; m != 0; m &= m - 1) {
-      if ((v & 1u) != 0) {
-        out |= m & (~m + 1);
-      }
-      v >>= 1;
-    }
-    return out;
-  }
-
  private:
   InterleavePattern pattern_;
   std::size_t capacity_ = 0;
-  std::uint64_t mask_[3] = {0, 0, 0};
   std::vector<std::uint64_t> xtab_, ytab_, ztab_;
 };
 

@@ -77,9 +77,8 @@ class PlainView {
   const Grid3D<T, LayoutT>* grid_;
 };
 
-/// Row gather through a plain view: forwards to the grid's layout-specialized
-/// overload (core/gather.hpp), so kernels can gather through the view they
-/// read with on every backend (core/bricked.hpp has the BrickedView one).
+/// Row gather through a plain view: forwards to the grid's overload
+/// (core/gather.hpp; core/bricked.hpp has the BrickedView one).
 template <class T, Layout3D LayoutT>
 void gather_row(const PlainView<T, LayoutT>& view, Axis3 axis, std::uint32_t i,
                 std::uint32_t j, std::uint32_t k, std::uint32_t n, T* out,

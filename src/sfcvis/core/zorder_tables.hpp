@@ -50,10 +50,7 @@ class ZOrderTables {
   [[nodiscard]] Coord3D decode(std::size_t index) const noexcept;
 
   /// Deposited bit pattern of coordinate `c` on `axis` (0 = x): the
-  /// per-axis summand of index(). Exposed so row walks along one axis can
-  /// hold the other two axes' contribution fixed and step a single table —
-  /// one load + one add per voxel instead of a full index() (and the basis
-  /// of contiguous-run detection in core/gather.hpp).
+  /// per-axis summand of index() (core/gather.hpp's axis_term).
   [[nodiscard]] std::uint64_t axis_entry(unsigned axis, std::uint32_t c) const noexcept {
     const std::vector<std::uint64_t>& tab = axis == 0 ? xtab_ : axis == 1 ? ytab_ : ztab_;
     return tab[c];

@@ -44,7 +44,6 @@ void BilateralGatherScratch::prepare(const BilateralWeights& weights, PencilAxis
   const int r = static_cast<int>(weights.radius());
   width = 2 * weights.radius() + 1;
   plane_size = width * width;
-  axis = pencil;
   // Latch the tracing flag once per parallel region: the per-gather check
   // stays a cached bool and untraced runs take the nullptr path.
   collect_run_stats = trace::span_tracing_enabled();

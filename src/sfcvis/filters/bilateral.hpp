@@ -315,8 +315,9 @@ void bilateral_pencil(const View& src, core::ArrayVolume& dst,
 // planes turns W^3 layout lookups per voxel into one W^2 plane gather —
 // amortizing index cost by ~1/W — and the tap loops run over dense
 // unit-stride rows the compiler can vectorize. The plane gathers are the
-// only layout-aware step (core/gather.hpp: memcpy rows on array order,
-// incremental Morton stepping with run copies on Z-order).
+// only layout-aware step (core::gather_plane: one load per tap from a
+// per-pencil offset table on every separable layout, row gathers through
+// the view otherwise).
 
 /// Per-worker scratch of the gather fast path; allocate once per parallel
 /// region (threads::parallel_for_static_state), reuse across pencils.
@@ -328,9 +329,9 @@ struct BilateralGatherScratch {
 
   std::uint32_t width = 0;       ///< W = 2r + 1
   std::uint32_t plane_size = 0;  ///< W * W
-  PencilAxis axis = PencilAxis::kX;
   std::vector<float> ring;   ///< W planes of W*W samples, slot = s % W
   std::vector<float> wperm;  ///< spatial weights permuted to [dp][du][dv]
+  core::PlaneWindow window;  ///< the pencil's W^2 plane offsets
   /// Contiguous-run accounting of the plane gathers, merged into the
   /// trace metrics registry per pencil. Collected only when span tracing
   /// was runtime-enabled at prepare() time, so untraced runs pay nothing.
@@ -462,27 +463,14 @@ void bilateral_pencil_gather(const VolT& src, core::ArrayVolume& dst,
   };
   clamped_run(0, r);
 
-  const std::uint32_t a0 = pc.a - r;
-  const std::uint32_t b0 = pc.b - r;
   core::GatherRunStats* rs = scratch.collect_run_stats ? &scratch.run_stats : nullptr;
-  const auto gather_plane = [&](std::uint32_t s) {
-    float* plane = scratch.ring.data() + (s % W) * plane_sz;
-    for (std::uint32_t du = 0; du < W; ++du) {
-      switch (params.pencil) {
-        case PencilAxis::kX:  // plane spans (y, z): rows along z
-          core::gather_row(view, core::Axis3::kZ, s, a0 + du, b0, W, plane + du * W, rs);
-          break;
-        case PencilAxis::kY:  // plane spans (z, x): rows along x
-          core::gather_row(view, core::Axis3::kX, a0, s, b0 + du, W, plane + du * W, rs);
-          break;
-        case PencilAxis::kZ:  // plane spans (y, x): rows along x
-          core::gather_row(view, core::Axis3::kX, a0, b0 + du, s, W, plane + du * W, rs);
-          break;
-      }
-    }
-  };
-  for (std::uint32_t s = 0; s <= 2 * r; ++s) {
-    gather_plane(s);
+  float* const ring = scratch.ring.data();
+  // PencilAxis and Axis3 enumerate x, y, z alike; the window's origin is
+  // the pencil's first voxel moved back by r on both off-pencil axes.
+  scratch.window.bind(view, static_cast<core::Axis3>(params.pencil),
+                      {v0.i - r * (1 - di), v0.j - r * (1 - dj), v0.k - r * (1 - dk)}, W);
+  for (std::uint32_t s = 0; s < 2 * r; ++s) {
+    core::gather_plane(view, scratch.window, s, ring + (s % W) * plane_sz, rs);
   }
 
   const float inv2sr2 = 1.0f / (2.0f * params.sigma_range * params.sigma_range);
@@ -491,12 +479,9 @@ void bilateral_pencil_gather(const VolT& src, core::ArrayVolume& dst,
   // Explicit SIMD applies to the approximate modes only; the exact mode's
   // bit-identity contract needs the scalar tap order below.
   const bool simd_taps = params.simd_taps && (fast || lut);
-  const float* ring = scratch.ring.data();
   const float* wperm = scratch.wperm.data();
   for (std::uint32_t t = r; t < len - r; ++t) {
-    if (t > r) {
-      gather_plane(t + r);
-    }
+    core::gather_plane(view, scratch.window, t + r, ring + ((t + r) % W) * plane_sz, rs);
     const float center = ring[(t % W) * plane_sz + r * W + r];
     if (simd_taps) {
       const auto [sum, norm] =

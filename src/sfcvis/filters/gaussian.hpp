@@ -74,6 +74,7 @@ struct GaussianGatherScratch {
   std::uint32_t plane_size = 0;  ///< W * W
   std::vector<float> ring;       ///< W planes of W*W samples, slot = s % W
   std::vector<float> wperm;      ///< pre-multiplied 3D tap weights
+  core::PlaneWindow window;      ///< the pencil's W^2 plane offsets
 };
 
 /// Gather-based convolution of one x-pencil: interior voxels run an
@@ -104,24 +105,16 @@ void gaussian_pencil_gather(const VolT& src, core::ArrayVolume& dst,
   for (std::uint32_t i = 0; i < r; ++i) {
     dst.at(i, j, k) = gaussian_voxel(view, i, j, k, taps);
   }
-  const auto gather_plane = [&](std::uint32_t s) {
-    float* plane = scratch.ring.data() + (s % W) * plane_sz;
-    for (std::uint32_t du = 0; du < W; ++du) {
-      core::gather_row(view, core::Axis3::kZ, s, j - r + du, k - r, W,
-                       plane + du * W, nullptr);
-    }
-  };
-  for (std::uint32_t s = 0; s <= 2 * r; ++s) {
-    gather_plane(s);
+  float* const ring = scratch.ring.data();
+  scratch.window.bind(view, core::Axis3::kX, {0, j - r, k - r}, W);
+  for (std::uint32_t s = 0; s < 2 * r; ++s) {
+    core::gather_plane(view, scratch.window, s, ring + (s % W) * plane_sz);
   }
   constexpr int N = simd::kNativeLanes;
   using VF = simd::vfloat<N>;
-  const float* ring = scratch.ring.data();
   const float* wperm = scratch.wperm.data();
   for (std::uint32_t t = r; t < e.nx - r; ++t) {
-    if (t > r) {
-      gather_plane(t + r);
-    }
+    core::gather_plane(view, scratch.window, t + r, ring + ((t + r) % W) * plane_sz);
     VF v_sum = VF::zero();
     for (std::uint32_t dpi = 0; dpi < W; ++dpi) {
       const float* plane = ring + ((t - r + dpi) % W) * plane_sz;

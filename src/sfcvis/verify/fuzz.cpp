@@ -216,16 +216,30 @@ VolumeSet make_volumes(const Extents3D& e, std::uint64_t content_seed, unsigned 
 }
 
 // ---------------------------------------------------------------------------
-// gather_row spot checks
+// gather_row and gather_plane spot checks
 // ---------------------------------------------------------------------------
 
+/// Records one check: out[t] must equal grid.at(voxel(t)) bit for bit.
+template <class VolT, class VoxelFn>
+void check_gathered(FuzzSummary& summary, const VolT& grid, const std::vector<float>& out,
+                    const std::string& ctx, VoxelFn voxel) {
+  record(summary, detail::compare_elements(
+                      out.size(), Tolerance::bit_identical(), ctx,
+                      [&](std::uint64_t t) {
+                        const auto [i, j, k] = voxel(t);
+                        return std::pair<float, float>(grid.at(i, j, k), out[t]);
+                      },
+                      voxel));
+}
+
 /// Checks a few random gather_row calls (random axis, start, length —
-/// including starts inside blocks and runs crossing block boundaries)
-/// against a plain at() walk. This is the primitive the sliding-window
-/// bilateral path trusts; the ZOrderLayout overload walks the curve
-/// incrementally, so misbehaviour shows up here before it smears into a
-/// whole filtered volume. Every row goes through one long-lived read view,
-/// as in the kernels, and a final sweep gathers the whole volume row by row
+/// including starts inside blocks and runs crossing block boundaries) and
+/// gather_plane calls against a plain at() walk. gather_plane loads
+/// separable layouts through its offset table and falls back to gather_row
+/// on Hilbert and bricked volumes, so misbehaviour of either shows up here
+/// before it smears into a whole filtered volume. Every row and plane goes
+/// through one long-lived read view, as in the kernels, and a final sweep
+/// gathers the whole volume row by row
 /// along a random axis (one check). On the bricked mirror (usually a stream
 /// cache smaller than the file) pins then carry over between rows, and the
 /// sweep visits every brick, so the view's pin ring replaces entries
@@ -240,6 +254,7 @@ void spot_check_gather(FuzzSummary& summary, const VolT& grid,
   }
   const auto view = core::make_read_view(grid);
   const Extents3D& e = grid.extents();
+  const std::uint32_t dims[3] = {e.nx, e.ny, e.nz};
   for (unsigned rep = 0; rep < rows; ++rep) {
     const auto axis = static_cast<core::Axis3>(rng.below(3));
     std::uint32_t i = static_cast<std::uint32_t>(rng.below(e.nx));
@@ -259,22 +274,47 @@ void spot_check_gather(FuzzSummary& summary, const VolT& grid,
     ctx << "gather_row [" << backend_name << "] axis=" << static_cast<int>(axis) << " start=("
         << i << "," << j << "," << k << ") count=" << count;
     const std::uint32_t start = along;
-    record(summary, detail::compare_elements(
-                        count, Tolerance::bit_identical(), ctx.str(),
-                        [&](std::uint64_t t) {
-                          const auto d = static_cast<std::uint32_t>(t);
-                          const std::uint32_t ti = axis == core::Axis3::kX ? start + d : i;
-                          const std::uint32_t tj = axis == core::Axis3::kY ? start + d : j;
-                          const std::uint32_t tk = axis == core::Axis3::kZ ? start + d : k;
-                          return std::pair<float, float>(grid.at(ti, tj, tk), out[t]);
-                        },
-                        [&](std::uint64_t t) {
-                          const auto d = static_cast<std::uint32_t>(t);
-                          return std::tuple<std::uint32_t, std::uint32_t, std::uint32_t>(
-                              axis == core::Axis3::kX ? start + d : i,
-                              axis == core::Axis3::kY ? start + d : j,
-                              axis == core::Axis3::kZ ? start + d : k);
-                        }));
+    check_gathered(summary, grid, out, ctx.str(), [&](std::uint64_t t) {
+      const std::uint32_t c = start + static_cast<std::uint32_t>(t);
+      return std::tuple<std::uint32_t, std::uint32_t, std::uint32_t>(
+          axis == core::Axis3::kX ? c : i, axis == core::Axis3::kY ? c : j,
+          axis == core::Axis3::kZ ? c : k);
+    });
+  }
+
+  // Planes: a random pencil axis, W from {3, 5, 7} (shrunk to fit thin
+  // volumes), each off-pencil origin on the low face, the high face or
+  // between, two planes per window, one window for all calls.
+  static constexpr std::uint32_t kWidths[] = {3, 5, 7};
+  core::PlaneWindow win;
+  std::vector<float> out;
+  for (unsigned rep = 0; rep < 2; ++rep) {
+    const auto pencil = static_cast<core::Axis3>(rng.below(3));
+    const auto p = static_cast<unsigned>(pencil);
+    const unsigned u = (p + 1) % 3;
+    const unsigned w = (p + 2) % 3;
+    const std::uint32_t W = std::min({rng.pick(kWidths), dims[u], dims[w]});
+    std::uint32_t o[3] = {0, 0, 0};
+    for (const unsigned a : {u, w}) {
+      const std::uint32_t room = dims[a] - W;
+      const auto face = rng.below(3);
+      o[a] = face == 0 ? 0 : face == 1 ? room : static_cast<std::uint32_t>(rng.below(room + 1));
+    }
+    win.bind(view, pencil, {o[0], o[1], o[2]}, W);
+    out.resize(static_cast<std::size_t>(W) * W);
+    for (unsigned plane = 0; plane < 2; ++plane) {
+      const auto s = static_cast<std::uint32_t>(rng.below(dims[p]));
+      std::fill(out.begin(), out.end(), -1.0f);
+      core::gather_plane(view, win, s, out.data());
+      std::ostringstream ctx;
+      ctx << "gather_plane [" << backend_name << "] pencil=" << p << " W=" << W
+          << " origin=(" << o[0] << "," << o[1] << "," << o[2] << ") s=" << s;
+      check_gathered(summary, grid, out, ctx.str(), [&](std::uint64_t q) {
+        const core::Coord3D c = win.voxel(s, static_cast<std::uint32_t>(q / W),
+                                          static_cast<std::uint32_t>(q % W));
+        return std::tuple<std::uint32_t, std::uint32_t, std::uint32_t>(c.i, c.j, c.k);
+      });
+    }
   }
 
   // Sweep: row r of the random axis a starts at c[a] = 0, with the other
@@ -283,7 +323,6 @@ void spot_check_gather(FuzzSummary& summary, const VolT& grid,
   const auto a = static_cast<unsigned>(axis);
   const unsigned u = (a + 1) % 3;
   const unsigned w = (a + 2) % 3;
-  const std::uint32_t dims[3] = {e.nx, e.ny, e.nz};
   const auto voxel = [&](std::uint64_t t) {
     const std::uint64_t r = t / dims[a];
     std::uint32_t c[3];
@@ -299,13 +338,7 @@ void spot_check_gather(FuzzSummary& summary, const VolT& grid,
   }
   std::ostringstream ctx;
   ctx << "gather_row sweep [" << backend_name << "] axis=" << a;
-  record(summary, detail::compare_elements(
-                      swept.size(), Tolerance::bit_identical(), ctx.str(),
-                      [&](std::uint64_t t) {
-                        const auto [i, j, k] = voxel(t);
-                        return std::pair<float, float>(grid.at(i, j, k), swept[t]);
-                      },
-                      voxel));
+  check_gathered(summary, grid, swept, ctx.str(), voxel);
 }
 
 // ---------------------------------------------------------------------------

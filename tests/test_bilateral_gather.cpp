@@ -7,12 +7,14 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <type_traits>
 #include <vector>
 
 #include "sfcvis/exec/execution_context.hpp"
 #include "sfcvis/data/phantom.hpp"
 #include "sfcvis/filters/bilateral.hpp"
 #include "sfcvis/filters/fastmath.hpp"
+#include "sfcvis/trace/trace.hpp"
 #include "sfcvis/verify/diff.hpp"
 
 namespace core = sfcvis::core;
@@ -21,6 +23,7 @@ namespace data = sfcvis::data;
 namespace filters = sfcvis::filters;
 namespace verify = sfcvis::verify;
 namespace threads = sfcvis::threads;
+namespace trace = sfcvis::trace;
 
 using core::ArrayOrderLayout;
 using core::Extents3D;
@@ -176,6 +179,96 @@ TEST(RangeLut, ParamsCtorMatchesSpatialTable) {
 // ---------------------------------------------------------------------------
 // Gather fast path vs the exact kernels
 // ---------------------------------------------------------------------------
+
+namespace {
+
+/// Runs of the W row gathers behind every plane a gather pass loads: all
+/// planes s in [0, len) of every pencil whose stencil fits inside the
+/// volume, rows in the kernel's orientation (x-pencils along z, y- and
+/// z-pencils along x).
+template <class GridT>
+core::GatherRunStats expected_pass_runs(const GridT& g, PencilAxis pencil, std::uint32_t r) {
+  const Extents3D& e = g.extents();
+  const std::uint32_t W = 2 * r + 1;
+  const std::uint32_t len = filters::pencil_length(e, pencil);
+  const std::uint32_t na = pencil == PencilAxis::kX ? e.ny : e.nx;
+  const std::uint32_t nb = pencil == PencilAxis::kZ ? e.ny : e.nz;
+  core::GatherRunStats rs;
+  std::vector<float> row(W);
+  for (std::size_t p = 0; p < filters::pencil_count(e, pencil); ++p) {
+    const filters::PencilCoords pc = filters::pencil_coords(e, pencil, p);
+    if (pc.a < r || pc.a + r >= na || pc.b < r || pc.b + r >= nb || len <= 2 * r) {
+      continue;
+    }
+    for (std::uint32_t s = 0; s < len; ++s) {
+      for (std::uint32_t du = 0; du < W; ++du) {
+        switch (pencil) {
+          case PencilAxis::kX:
+            core::gather_row(g, core::Axis3::kZ, s, pc.a - r + du, pc.b - r, W, row.data(), &rs);
+            break;
+          case PencilAxis::kY:
+            core::gather_row(g, core::Axis3::kX, pc.a - r, s, pc.b - r + du, W, row.data(), &rs);
+            break;
+          case PencilAxis::kZ:
+            core::gather_row(g, core::Axis3::kX, pc.a - r, pc.b - r + du, s, W, row.data(), &rs);
+            break;
+        }
+      }
+    }
+  }
+  return rs;
+}
+
+}  // namespace
+
+TEST(BilateralGather, TracedRunStatsEqualTheRowGathersOfThePass) {
+#if !SFCVIS_TRACE_ENABLED
+  GTEST_SKIP() << "span macros compiled out (SFCVIS_TRACE=OFF)";
+#endif
+  // Plane gathers account each pencil's runs once and add them per plane;
+  // the totals of a traced pass must equal W row gathers per plane.
+  const Extents3D e{20, 17, 13};
+  Grid3D<float, ArrayOrderLayout> src(e);
+  fill_noisy_step(src);
+  Grid3D<float, ZOrderLayout> zsrc(e);
+  zsrc.copy_from(src);
+  Grid3D<float, core::GeneralizedMortonLayout> gsrc(e);
+  gsrc.copy_from(src);
+  auto& tracer = trace::Tracer::instance();
+  const auto check = [&](const auto& grid, PencilAxis pencil) {
+    BilateralParams params;
+    params.radius = 2;
+    params.pencil = pencil;
+    params.use_gather = true;
+    tracer.reset_metrics();
+    tracer.enable(trace::TraceOptions{.ring_capacity = 1u << 12, .with_hw_counters = false});
+    (void)run_parallel(grid, params, 2);
+    tracer.disable();
+    const trace::MetricsSnapshot m = tracer.metrics_snapshot();
+    tracer.reset();
+    const core::GatherRunStats want = expected_pass_runs(grid, pencil, params.radius);
+    const auto name = std::remove_cvref_t<decltype(grid.layout())>::name();
+    SCOPED_TRACE(::testing::Message() << name << " pencil " << static_cast<int>(pencil));
+    ASSERT_GT(want.runs, 0u);
+    EXPECT_EQ(m.total("bilateral.gather_runs"), want.runs);
+    EXPECT_EQ(m.total("bilateral.gather_elements"), want.elements);
+    const trace::HistogramMetric* h = m.find_histogram("bilateral.gather_run_len");
+    ASSERT_NE(h, nullptr);
+    EXPECT_EQ(h->count, want.runs);
+    EXPECT_EQ(h->sum, want.elements);
+    EXPECT_EQ(h->min, want.min_run);
+    EXPECT_EQ(h->max, want.max_run);
+    for (unsigned b = 0; b < core::GatherRunStats::kBuckets; ++b) {
+      EXPECT_EQ(h->buckets[b], want.len_log2[b]) << "bucket " << b;
+    }
+  };
+  for (const PencilAxis pencil : {PencilAxis::kX, PencilAxis::kY, PencilAxis::kZ}) {
+    check(src, pencil);
+    check(zsrc, pencil);
+    check(gsrc, pencil);
+  }
+  tracer.reset_metrics();
+}
 
 TEST(BilateralGather, ExactModeBitIdenticalToReferenceZPencil) {
   // (pz, xyz) gather tap order equals bilateral_reference's dz,dy,dx loop

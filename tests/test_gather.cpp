@@ -1,16 +1,27 @@
-// Tests for the dense row gathers (src/sfcvis/core/gather.hpp): every
-// layout's gather_row must agree with element-wise at() for every axis,
-// start position, and length — including the anisotropic Z-order table
-// curve and the contiguous-run memcpy fast paths.
+// Tests for the dense gathers (src/sfcvis/core/gather.hpp):
+//  * the separability trait: every separable layout's index is the sum of
+//    its per-axis terms, exhaustively on pow2, anisotropic and odd shapes;
+//  * every layout's gather_row agrees with element-wise at() for every
+//    axis, start position and length, and reports its real contiguous runs;
+//  * gather_plane agrees with an at() walk for all three pencil axes on
+//    all six backends, including the out-of-core bricked views.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <filesystem>
+#include <functional>
+#include <string>
 #include <vector>
 
+#include <unistd.h>
+
+#include "sfcvis/core/brick_file.hpp"
+#include "sfcvis/core/bricked.hpp"
 #include "sfcvis/core/gather.hpp"
 #include "sfcvis/core/grid.hpp"
 #include "sfcvis/core/layout.hpp"
+#include "sfcvis/core/volume.hpp"
 
 namespace core = sfcvis::core;
 
@@ -208,24 +219,236 @@ TEST(GatherRow, SingleVoxelGrid) {
   EXPECT_EQ(out, 42.0f);
 }
 
-TEST(GatherMortonRuns, CopiesContiguousRunsExactly) {
-  // Along x from an even coordinate, Morton indices pair up (runs of 2);
-  // the run walker must still reproduce the exact element sequence.
-  std::vector<float> data(2048);
-  for (std::size_t n = 0; n < data.size(); ++n) {
-    data[n] = static_cast<float>(n);
+// ---------------------------------------------------------------------------
+// Separability
+// ---------------------------------------------------------------------------
+
+static_assert(!core::SeparableLayout<core::HilbertLayout>,
+              "a Hilbert index is not a sum of per-axis terms");
+
+namespace {
+
+/// index(i,j,k) == index(i,0,0) + index(0,j,0) + index(0,0,k) == the sum
+/// of axis_term over every voxel of the grid, and every axis' terms
+/// strictly increase (the separable gather_row's one-run test needs it).
+template <class L>
+void expect_separable(const L& layout) {
+  const auto& e = layout.extents();
+  const std::uint32_t dims[3] = {e.nx, e.ny, e.nz};
+  for (const core::Axis3 axis : {core::Axis3::kX, core::Axis3::kY, core::Axis3::kZ}) {
+    ASSERT_EQ(core::axis_term(layout, axis, 0), 0u) << L::name();
+    for (std::uint32_t c = 1; c < dims[static_cast<unsigned>(axis)]; ++c) {
+      ASSERT_GT(core::axis_term(layout, axis, c), core::axis_term(layout, axis, c - 1))
+          << L::name() << " axis " << static_cast<int>(axis) << " c " << c;
+    }
   }
+  for (std::uint32_t k = 0; k < e.nz; ++k) {
+    for (std::uint32_t j = 0; j < e.ny; ++j) {
+      for (std::uint32_t i = 0; i < e.nx; ++i) {
+        const std::size_t sum = layout.index(i, 0, 0) + layout.index(0, j, 0) +
+                                layout.index(0, 0, k);
+        ASSERT_EQ(layout.index(i, j, k), sum)
+            << L::name() << " (" << i << "," << j << "," << k << ")";
+        ASSERT_EQ(sum, core::axis_term(layout, core::Axis3::kX, i) +
+                           core::axis_term(layout, core::Axis3::kY, j) +
+                           core::axis_term(layout, core::Axis3::kZ, k))
+            << L::name() << " (" << i << "," << j << "," << k << ")";
+      }
+    }
+  }
+}
+
+}  // namespace
+
+TEST(Separability, IdentityHoldsExhaustivelyOnEverySeparableLayout) {
+  for (const core::Extents3D e : {core::Extents3D::cube(16), core::Extents3D{37, 21, 13},
+                                  core::Extents3D::cube(48), core::Extents3D{16, 4, 64}}) {
+    SCOPED_TRACE(::testing::Message() << e.nx << "x" << e.ny << "x" << e.nz);
+    expect_separable(core::ArrayOrderLayout(e));
+    expect_separable(core::ZOrderLayout(e));
+    expect_separable(core::TiledLayout(e, 8));
+    expect_separable(core::TiledLayout(e, 4, 2, 8));
+    expect_separable(core::GeneralizedMortonLayout(e));
+    expect_separable(
+        core::GeneralizedMortonLayout(e, core::InterleavePattern::tiled(e, 4, 4, 2)));
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Contiguous runs of the separable gather_row
+// ---------------------------------------------------------------------------
+
+TEST(GatherRowRuns, ZOrderXRowsCopyMortonPairs) {
+  // Along x, Morton indices pair up (x and x+1 share all but bit 0 when x
+  // is even), so a 7-voxel row splits into four runs from either parity,
+  // and the walker still reproduces the exact element sequence.
+  core::Grid3D<float, core::ZOrderLayout> g(core::Extents3D::cube(16));
+  fill_coded(g);
   for (std::uint32_t x0 : {0u, 1u, 2u, 3u}) {
     std::vector<float> out(7, -1.0f);
-    const std::uint64_t m = core::morton_encode_3d(x0, 3, 5);
     core::GatherRunStats rs;
-    core::detail::gather_morton_runs(
-        data.data(), m, 7, out.data(),
-        [](std::uint64_t z) { return core::morton_inc_x(z); }, &rs);
+    core::gather_row(g, core::Axis3::kX, x0, 3, 5, 7, out.data(), &rs);
     EXPECT_EQ(rs.elements, 7u);
-    EXPECT_GE(rs.max_run, 2u);  // even x0 pairs elements two by two
+    EXPECT_EQ(rs.runs, 4u) << "x0=" << x0;
+    EXPECT_EQ(rs.max_run, 2u);
+    EXPECT_EQ(rs.min_run, 1u);
     for (std::uint32_t l = 0; l < 7; ++l) {
-      EXPECT_EQ(out[l], static_cast<float>(core::morton_encode_3d(x0 + l, 3, 5)));
+      EXPECT_EQ(out[l], g.at(x0 + l, 3, 5));
     }
+  }
+}
+
+TEST(GatherRowRuns, ArrayAndTiledRowsReportTheirRealRuns) {
+  // Array order: an x row is one run, a y or z row n runs of 1. Tiled with
+  // 4-wide tiles: an x row splits at every tile seam, and a y row inside
+  // one tile column is n runs of 1.
+  const core::Extents3D e{16, 8, 8};
+  core::Grid3D<float, core::ArrayOrderLayout> a(e);
+  core::Grid3D<float, core::TiledLayout> t(core::TiledLayout(e, 4));
+  fill_coded(a);
+  fill_coded(t);
+  std::vector<float> out(16);
+  core::GatherRunStats rs;
+  core::gather_row(a, core::Axis3::kX, 1, 2, 3, 12, out.data(), &rs);
+  EXPECT_EQ(rs.runs, 1u);
+  EXPECT_EQ(rs.max_run, 12u);
+  rs = {};
+  core::gather_row(a, core::Axis3::kY, 1, 0, 3, 8, out.data(), &rs);
+  EXPECT_EQ(rs.runs, 8u);
+  EXPECT_EQ(rs.max_run, 1u);
+  rs = {};
+  core::gather_row(t, core::Axis3::kX, 1, 2, 3, 12, out.data(), &rs);  // x 1..12
+  EXPECT_EQ(rs.runs, 4u);  // [1,4) [4,8) [8,12) [12,13)
+  EXPECT_EQ(rs.elements, 12u);
+  EXPECT_EQ(rs.max_run, 4u);
+  EXPECT_EQ(rs.min_run, 1u);
+  for (std::uint32_t l = 0; l < 12; ++l) {
+    EXPECT_EQ(out[l], t.at(1 + l, 2, 3));
+  }
+  rs = {};
+  core::gather_row(t, core::Axis3::kY, 1, 0, 3, 8, out.data(), &rs);
+  EXPECT_EQ(rs.runs, 8u);
+}
+
+// ---------------------------------------------------------------------------
+// Plane gathers on every backend
+// ---------------------------------------------------------------------------
+
+namespace {
+
+float coded(std::uint32_t i, std::uint32_t j, std::uint32_t k) {
+  return static_cast<float>(i) + 1000.0f * static_cast<float>(j) +
+         1000000.0f * static_cast<float>(k);
+}
+
+/// Checks gather_plane through one reused read view against view.at() for
+/// every pencil axis, W in {3, 5}, and windows flush against every face:
+/// each off-pencil origin is 0, a middle value or extent - W, and planes
+/// are drawn at the first, a middle and the last pencil position.
+template <class VolT>
+void expect_planes_match(const VolT& vol, const std::string& label) {
+  const auto view = core::make_read_view(vol);
+  const core::Extents3D& e = vol.extents();
+  const std::uint32_t dims[3] = {e.nx, e.ny, e.nz};
+  core::PlaneWindow win;
+  std::vector<float> out(25);
+  for (const core::Axis3 pencil : {core::Axis3::kX, core::Axis3::kY, core::Axis3::kZ}) {
+    const auto p = static_cast<unsigned>(pencil);
+    for (const std::uint32_t W : {3u, 5u}) {
+      const auto origins = [&](unsigned axis) {
+        return std::vector<std::uint32_t>{0, (dims[axis] - W) / 2, dims[axis] - W};
+      };
+      const unsigned u = (p + 1) % 3;
+      const unsigned w = (p + 2) % 3;
+      for (const std::uint32_t ou : origins(u)) {
+        for (const std::uint32_t ow : origins(w)) {
+          std::uint32_t o[3] = {0, 0, 0};
+          o[u] = ou;
+          o[w] = ow;
+          win.bind(view, pencil, {o[0], o[1], o[2]}, W);
+          for (const std::uint32_t s : {0u, dims[p] / 2, dims[p] - 1}) {
+            std::fill(out.begin(), out.end(), -1.0f);
+            core::gather_plane(view, win, s, out.data());
+            for (std::uint32_t du = 0; du < W; ++du) {
+              for (std::uint32_t dv = 0; dv < W; ++dv) {
+                const core::Coord3D c = win.voxel(s, du, dv);
+                ASSERT_EQ(out[du * W + dv], view.at(c.i, c.j, c.k))
+                    << label << " pencil=" << p << " W=" << W << " s=" << s
+                    << " (" << c.i << "," << c.j << "," << c.k << ")";
+                ASSERT_EQ(out[du * W + dv], coded(c.i, c.j, c.k)) << label;
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+}  // namespace
+
+TEST(GatherPlane, MatchesAtWalkOnAllSixBackends) {
+  // 37x21x13: odd, anisotropic, non-pow2 — Z-order and gmorton take their
+  // anisotropic tables, tiled its clipped tiles, Hilbert its padded cube.
+  const core::Extents3D e{37, 21, 13};
+  for (const core::LayoutKind kind : core::kAllLayoutKinds) {
+    core::AnyVolume v = core::make_volume(kind, e);
+    v.fill_from(coded);
+    v.visit([&](const auto& grid) { expect_planes_match(grid, core::to_string(kind)); });
+  }
+
+  // Bricked: edge 8 puts brick seams inside most windows; one mmap open and
+  // one streamed open whose 2-slot budget makes the view's pins evict.
+  core::AnyVolume src = core::make_volume(core::LayoutKind::kArray, e);
+  src.fill_from(coded);
+  const std::filesystem::path path =
+      std::filesystem::temp_directory_path() /
+      ("sfcvis_test_gather_" + std::to_string(::getpid()) + ".sfcbrk");
+  core::BrickPackOptions popts;
+  popts.brick_edge = 8;
+  const core::BrickFileInfo info = core::pack_brick_file(path.string(), src, popts);
+  for (const bool stream : {false, true}) {
+    core::BrickOpenOptions oopts;
+    if (stream) {
+      oopts.force_stream = true;
+      oopts.cache_bytes = 2 * info.brick_bytes();
+    }
+    const core::BrickedVolume vol = core::BrickedVolume::open(path.string(), oopts);
+    expect_planes_match(vol, stream ? "bricked stream" : "bricked mmap");
+    EXPECT_TRUE(vol.cache_report().io_error.empty());
+  }
+  std::error_code ec;
+  std::filesystem::remove(path, ec);
+}
+
+TEST(GatherPlane, RunStatsEqualTheRowGathersOfThePlane) {
+  // The per-pencil plane stats are the runs of the W row gathers the
+  // plane replaces, on every separable layout.
+  const core::Extents3D e{37, 21, 13};
+  for (const core::LayoutKind kind : {core::LayoutKind::kArray, core::LayoutKind::kZOrder,
+                                      core::LayoutKind::kTiled, core::LayoutKind::kGMorton}) {
+    core::AnyVolume v = core::make_volume(kind, e);
+    v.fill_from(coded);
+    v.visit([&](const auto& grid) {
+      const auto view = core::make_read_view(grid);
+      core::PlaneWindow win;
+      std::vector<float> out(25), row(5);
+      for (const core::Axis3 pencil : {core::Axis3::kX, core::Axis3::kY, core::Axis3::kZ}) {
+        win.bind(view, pencil, {3, 5, 7}, 5);
+        core::GatherRunStats plane_rs, row_rs;
+        for (const std::uint32_t s : {1u, 2u, 6u}) {
+          core::gather_plane(view, win, s, out.data(), &plane_rs);
+          for (std::uint32_t du = 0; du < 5; ++du) {
+            const core::Coord3D c = win.voxel(s, du, 0);
+            core::gather_row(grid, win.row, c.i, c.j, c.k, 5, row.data(), &row_rs);
+          }
+        }
+        EXPECT_EQ(plane_rs.runs, row_rs.runs) << core::to_string(kind);
+        EXPECT_EQ(plane_rs.elements, row_rs.elements);
+        EXPECT_EQ(plane_rs.min_run, row_rs.min_run);
+        EXPECT_EQ(plane_rs.max_run, row_rs.max_run);
+        EXPECT_EQ(plane_rs.len_log2, row_rs.len_log2);
+      }
+    });
   }
 }
