@@ -95,29 +95,31 @@ std::vector<std::uint32_t> brick_inner_offsets(std::uint32_t edge, LayoutKind in
     }
   };
 
+  // The curve kinds each resolve to a generalized-Morton pattern over the
+  // brick cube.
+  const auto fill_pattern = [&](const InterleavePattern& pattern) {
+    fill(GeneralizedMortonLayout(cube, pattern));
+  };
   switch (inner_kind) {
     case LayoutKind::kArray:
       fill(ArrayOrderLayout(cube));
       return lut;
     case LayoutKind::kZOrder:
-      fill(ZOrderLayout(cube));
+      fill_pattern(InterleavePattern::canonical(cube));
       return lut;
     case LayoutKind::kTiled: {
       std::uint32_t tile = inner_tile == 0 ? 8 : inner_tile;
       tile = std::min(std::bit_floor(tile), edge);
-      fill(TiledLayout(cube, tile));
+      fill_pattern(InterleavePattern::tiled(cube, tile, tile, tile));
       return lut;
     }
     case LayoutKind::kHilbert:
       fill(HilbertLayout(cube));
       return lut;
-    case LayoutKind::kGMorton: {
-      const InterleavePattern pattern = interleave.empty()
-                                            ? InterleavePattern::canonical(cube)
-                                            : InterleavePattern(interleave, cube);
-      fill(GeneralizedMortonLayout(cube, pattern));
+    case LayoutKind::kGMorton:
+      fill_pattern(interleave.empty() ? InterleavePattern::canonical(cube)
+                                      : InterleavePattern(interleave, cube));
       return lut;
-    }
     case LayoutKind::kBricked:
       break;
   }

@@ -5,8 +5,9 @@
 // scratch, so the gather is the only step that pays layout cost. The paper
 // (Sec. III-C) compares layouts on equal index cost — array order and
 // Z-order both index through static per-axis terms — and the gathers keep
-// that footing. On a separable layout (array, Z-order, tiled, generalized
-// Morton: index(i,j,k) == index(i,0,0) + index(0,j,0) + index(0,0,k)) the
+// that footing. On a separable layout (array order or generalized Morton,
+// whose patterns include Z-order and tiled: index(i,j,k) == index(i,0,0) +
+// index(0,j,0) + index(0,0,k)) the
 // off-pencil coordinates of a plane never change along a pencil, so
 // gather_plane fills W² offsets once per pencil and loads every plane as
 // data[term(s) + off[q]], one load per tap on every such layout alike.
@@ -93,21 +94,20 @@ struct GatherRunStats {
 /// Per-axis summand of a separable layout's index: index(i, j, k) ==
 /// axis_term(l, kX, i) + axis_term(l, kY, j) + axis_term(l, kZ, k). Every
 /// term is 0 at coordinate 0 and strictly increases with the coordinate.
-template <class L>
-  requires std::same_as<L, ArrayOrderLayout> || std::same_as<L, TiledLayout>
-[[nodiscard]] std::size_t axis_term(const L& l, Axis3 axis, std::uint32_t c) noexcept {
+[[nodiscard]] inline std::size_t axis_term(const ArrayOrderLayout& l, Axis3 axis,
+                                           std::uint32_t c) noexcept {
   return axis == Axis3::kX   ? l.index(c, 0, 0)
          : axis == Axis3::kY ? l.index(0, c, 0)
                              : l.index(0, 0, c);
 }
-template <class L>
-  requires std::same_as<L, ZOrderLayout> || std::same_as<L, GeneralizedMortonLayout>
-[[nodiscard]] std::size_t axis_term(const L& l, Axis3 axis, std::uint32_t c) noexcept {
+[[nodiscard]] inline std::size_t axis_term(const GeneralizedMortonLayout& l, Axis3 axis,
+                                           std::uint32_t c) noexcept {
   return static_cast<std::size_t>(l.tables().axis_entry(static_cast<unsigned>(axis), c));
 }
 
 /// The separability trait: layouts whose index is a sum of per-axis terms
-/// (array, Z-order, tiled, generalized Morton). Hilbert is not.
+/// (array order and every generalized-Morton pattern — z-order and tiled
+/// included). Hilbert is not.
 template <class L>
 concept SeparableLayout = Layout3D<L> && requires(const L& l, Axis3 a, std::uint32_t c) {
   { axis_term(l, a, c) } -> std::same_as<std::size_t>;

@@ -63,8 +63,8 @@ InterleavePattern InterleavePattern::canonical(const Extents3D& extents) {
   validate_extents(extents);
   const Extents3D p = padded_pow2(extents);
   const unsigned bits[3] = {log2_pow2(p.nx), log2_pow2(p.ny), log2_pow2(p.nz)};
-  // Same assignment as ZOrderTables: round-robin x, y, z per bit-plane
-  // while an axis still has bits left, LSB upward — built here as the
+  // Round-robin x, y, z per bit-plane while an axis still has bits left,
+  // LSB upward (Pascucci & Frank's assignment) — built here as the
   // LSB-first character sequence and then reversed into MSB-first form.
   std::string lsb_first;
   const unsigned max_bits = std::max(bits[0], std::max(bits[1], bits[2]));

@@ -16,10 +16,15 @@
 //    axis at the bottom. Those three classic layouts are exactly the
 //    degenerate points the generators below produce (pinned by
 //    tests/test_gmorton.cpp).
-//  * GeneralizedMortonLayout — the Layout3D policy: per-axis deposit
-//    tables exactly like zorder_tables.hpp (index = xtab[i] + ytab[j] +
-//    ztab[k], three loads and two adds regardless of the pattern — the
-//    paper's equal-footing property holds for every family member).
+//  * GMortonTables — the per-axis deposit tables of Pascucci & Frank
+//    (2001), the scheme the paper adopts in Sec. III-C: the i-th entry of
+//    an axis table holds the bits of coordinate i already deposited at
+//    their output positions, so index = xtab[i] + ytab[j] + ztab[k] —
+//    three loads and two adds regardless of the pattern (the paper's
+//    equal-footing property holds for every family member).
+//  * GeneralizedMortonLayout — the Layout3D policy over those tables, and
+//    the library's only curve layout: "z-order" is its canonical pattern
+//    and "tiled" its tiled pattern (core/volume.cpp picks the pattern).
 //
 // tools/layout_tuner searches this family per (kernel, shape, machine);
 // exec::LayoutRegistry persists the winners.
@@ -32,7 +37,7 @@
 #include <vector>
 
 #include "sfcvis/core/extents.hpp"
-#include "sfcvis/core/zorder_tables.hpp"
+#include "sfcvis/core/morton.hpp"
 
 namespace sfcvis::core {
 
@@ -53,8 +58,10 @@ class InterleavePattern {
   InterleavePattern(std::string_view pattern, const Extents3D& extents);
 
   /// Canonical Z-order member: round-robin x, y, z from the least
-  /// significant bit while an axis still has bits left — bit-identical to
-  /// ZOrderTables (zorder_tables.cpp uses the same assignment).
+  /// significant bit while an axis still has bits left. On a cube this is
+  /// plain Morton order (morton_encode_3d); on anisotropic extents the
+  /// surplus high bits of the larger axes end up contiguous at the top,
+  /// so the index space is exactly the padded volume px*py*pz.
   [[nodiscard]] static InterleavePattern canonical(const Extents3D& extents);
 
   /// Row-major member: all x bits lowest, then y, then z — array order
@@ -62,8 +69,8 @@ class InterleavePattern {
   [[nodiscard]] static InterleavePattern array_order(const Extents3D& extents);
 
   /// Pow2-tiled member: row-major within a (bx, by, bz) tile, then
-  /// row-major over the tile grid. Matches TiledLayout bit-for-bit on
-  /// power-of-two extents.
+  /// row-major over the tile grid of the padded extents. A tile edge
+  /// larger than its padded axis is clamped to the axis.
   [[nodiscard]] static InterleavePattern tiled(const Extents3D& extents, std::uint32_t bx,
                                                std::uint32_t by, std::uint32_t bz);
 
@@ -84,6 +91,25 @@ class InterleavePattern {
   /// Total output bits (== sum of axis_bits).
   [[nodiscard]] unsigned total_bits() const noexcept {
     return bits_[0] + bits_[1] + bits_[2];
+  }
+
+  /// True when the low 3*block_log2 output bits hold exactly the low
+  /// block_log2 bit-planes of every axis: then every 2^block_log2-aligned
+  /// cube block occupies one contiguous index range starting at its
+  /// origin's index — a linear scan of the grid's storage, which is how
+  /// layout-aware block summaries are built (render/macrocell.hpp).
+  [[nodiscard]] bool blocks_contiguous(unsigned block_log2) const noexcept {
+    for (unsigned axis = 0; axis < 3; ++axis) {
+      if (bits_[axis] < block_log2) {
+        return false;
+      }
+      for (unsigned plane = 0; plane < block_log2; ++plane) {
+        if (bitpos_[axis][plane] >= 3 * block_log2) {
+          return false;
+        }
+      }
+    }
+    return true;
   }
 
   friend bool operator==(const InterleavePattern& a, const InterleavePattern& b) {
@@ -112,9 +138,7 @@ class InterleavePattern {
   return h;
 }
 
-/// Precomputed per-axis deposit tables for one interleave pattern —
-/// the generalized twin of ZOrderTables (same index arithmetic, arbitrary
-/// bit placement).
+/// Precomputed per-axis deposit tables for one interleave pattern.
 class GMortonTables {
  public:
   GMortonTables() = default;
@@ -150,9 +174,10 @@ class GMortonTables {
 };
 
 /// Generalized-Morton layout policy: any interleave pattern, served by the
-/// same three-loads-two-adds arithmetic as the fixed layouts. Tables are
-/// shared_ptr-held so layout objects are cheap to copy into per-thread
-/// kernel state (same discipline as ZOrderLayout).
+/// same three-loads-two-adds arithmetic as array order. Non-power-of-two
+/// extents are padded per axis (paper Sec. V limitation);
+/// required_capacity() reflects the padding. Tables are shared_ptr-held so
+/// layout objects are cheap to copy into per-thread kernel state.
 class GeneralizedMortonLayout {
  public:
   GeneralizedMortonLayout() = default;
@@ -193,10 +218,11 @@ class GeneralizedMortonLayout {
   std::shared_ptr<const GMortonTables> tables_;
 };
 
-/// Per-layout salt for derived-structure cache keys: 0 for the fixed
-/// layouts (their identity is fully captured by the volume's storage
+/// Per-layout salt for derived-structure cache keys: 0 for array order
+/// and Hilbert (their identity is fully captured by the volume's storage
 /// pointer + extents), the interleave hash for generalized Morton (two
-/// patterns over one shape must never share an entry).
+/// patterns over one shape — z-order and tiled among them — must never
+/// share an entry).
 template <class L>
 [[nodiscard]] constexpr std::uint64_t layout_cache_salt(const L&) noexcept {
   return 0;
@@ -204,6 +230,33 @@ template <class L>
 [[nodiscard]] inline std::uint64_t layout_cache_salt(
     const GeneralizedMortonLayout& layout) noexcept {
   return interleave_hash(layout.pattern().str());
+}
+
+/// Invokes fn(i, j, k) for every logical voxel of `e` whose curve index
+/// under `tables` lies in [begin, end), in curve (storage) order; padded
+/// positions are skipped. A canonical pattern over a cube is plain Morton
+/// and decodes through the branch-free magic-bits codec; any other pattern
+/// decodes through the tables. Curve-order sweeps (filters/bilateral.hpp)
+/// partition [0, capacity()) into such ranges.
+template <class Fn>
+void for_each_curve_voxel(const GMortonTables& tables, const Extents3D& e,
+                          std::size_t begin, std::size_t end, Fn&& fn) {
+  const Extents3D& p = tables.padded();
+  if (p.nx == p.ny && p.ny == p.nz && tables.pattern() == InterleavePattern::canonical(p)) {
+    for (std::size_t idx = begin; idx < end; ++idx) {
+      const MortonCoord3D c = morton_decode_3d(idx);
+      if (e.contains(c.x, c.y, c.z)) {
+        fn(c.x, c.y, c.z);
+      }
+    }
+    return;
+  }
+  for (std::size_t idx = begin; idx < end; ++idx) {
+    const Coord3D c = tables.decode(idx);
+    if (e.contains(c.i, c.j, c.k)) {
+      fn(c.i, c.j, c.k);
+    }
+  }
 }
 
 }  // namespace sfcvis::core

@@ -1,5 +1,7 @@
 #include "sfcvis/core/indexer.hpp"
 
+#include "sfcvis/core/gmorton.hpp"
+
 namespace sfcvis::core {
 
 Indexer::Indexer(Order order, const Extents3D& extents)
@@ -20,7 +22,7 @@ Indexer::Indexer(Order order, const Extents3D& extents)
       ztab_[k] = static_cast<std::size_t>(k) * extents.nx * extents.ny;
     }
   } else {
-    const ZOrderTables tables(extents);
+    const GMortonTables tables(extents, InterleavePattern::canonical(extents));
     capacity_ = tables.capacity();
     xtab_.resize(extents.nx);
     ytab_.resize(extents.ny);

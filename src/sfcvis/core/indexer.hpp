@@ -21,7 +21,6 @@
 #include <vector>
 
 #include "sfcvis/core/extents.hpp"
-#include "sfcvis/core/zorder_tables.hpp"
 
 namespace sfcvis::core {
 

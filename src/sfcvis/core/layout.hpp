@@ -2,28 +2,30 @@
 // storage offsets.
 //
 // The study design (paper Sec. III-C) requires that swapping the layout is
-// transparent to the kernels: all four policies satisfy the Layout3D
+// transparent to the kernels: all three policies satisfy the Layout3D
 // concept below, and kernels are templated on the policy (or use the
 // runtime Indexer facade in indexer.hpp).
 //
-//  * ArrayOrderLayout — classic row-major: the control.
-//  * ZOrderLayout     — Morton/Z space-filling curve: the paper's subject.
-//  * TiledLayout      — blocked/tiled layout: the blocking baseline
-//                       (Pascucci & Frank's "3D blocking" comparator).
-//  * HilbertLayout    — Hilbert space-filling curve: SFC baseline with
-//                       better locality but costlier indexing
-//                       (Reissmann et al. 2014).
+//  * ArrayOrderLayout        — classic row-major: the control.
+//  * GeneralizedMortonLayout — table-driven bit-interleave curve
+//                              (gmorton.hpp). Its canonical pattern is the
+//                              paper's Z-order; its tiled pattern is the
+//                              blocking baseline (Pascucci & Frank's "3D
+//                              blocking" comparator); any other pattern is
+//                              a tuned member of the family.
+//  * HilbertLayout           — Hilbert space-filling curve: SFC baseline
+//                              with better locality but costlier indexing
+//                              (Reissmann et al. 2014).
 #pragma once
 
 #include <algorithm>
 #include <concepts>
 #include <cstdint>
-#include <memory>
 #include <string_view>
 
 #include "sfcvis/core/extents.hpp"
+#include "sfcvis/core/gmorton.hpp"
 #include "sfcvis/core/hilbert.hpp"
-#include "sfcvis/core/zorder_tables.hpp"
 
 namespace sfcvis::core {
 
@@ -62,100 +64,6 @@ class ArrayOrderLayout {
 };
 
 // ---------------------------------------------------------------------------
-// Z order (Morton)
-// ---------------------------------------------------------------------------
-
-/// Z-order (Morton) layout via the per-axis tables of zorder_tables.hpp.
-/// Non-power-of-two extents are padded per axis (paper Sec. V limitation);
-/// required_capacity() reflects the padding.
-///
-/// The tables are shared_ptr-held so layout objects are cheap to copy into
-/// per-thread kernel state.
-class ZOrderLayout {
- public:
-  ZOrderLayout() = default;
-  explicit ZOrderLayout(const Extents3D& e)
-      : extents_(e), tables_(std::make_shared<ZOrderTables>(e)) {}
-
-  [[nodiscard]] std::size_t index(std::uint32_t i, std::uint32_t j,
-                                  std::uint32_t k) const noexcept {
-    return tables_->index(i, j, k);
-  }
-
-  [[nodiscard]] const Extents3D& extents() const noexcept { return extents_; }
-  [[nodiscard]] std::size_t required_capacity() const noexcept {
-    return tables_ ? tables_->capacity() : 0;
-  }
-  [[nodiscard]] static constexpr std::string_view name() noexcept { return "z-order"; }
-
-  /// Inverse mapping (used by conversion and the layout explorer example).
-  [[nodiscard]] Coord3D decode(std::size_t idx) const noexcept { return tables_->decode(idx); }
-
-  [[nodiscard]] const ZOrderTables& tables() const noexcept { return *tables_; }
-
- private:
-  Extents3D extents_{};
-  std::shared_ptr<const ZOrderTables> tables_;
-};
-
-// ---------------------------------------------------------------------------
-// Tiled / blocked
-// ---------------------------------------------------------------------------
-
-/// Blocked layout: the volume is split into bx*by*bz tiles stored
-/// contiguously; tiles are ordered row-major over the tile grid and voxels
-/// row-major within a tile. Tile dims must be powers of two.
-class TiledLayout {
- public:
-  TiledLayout() = default;
-
-  TiledLayout(const Extents3D& e, std::uint32_t bx, std::uint32_t by, std::uint32_t bz)
-      : extents_(e), bx_(bx), by_(by), bz_(bz) {
-    validate_extents(e);
-    if (!std::has_single_bit(bx) || !std::has_single_bit(by) || !std::has_single_bit(bz)) {
-      throw std::invalid_argument("TiledLayout: tile dims must be powers of two");
-    }
-    lbx_ = log2_pow2(bx);
-    lby_ = log2_pow2(by);
-    lbz_ = log2_pow2(bz);
-    tiles_x_ = (e.nx + bx - 1) >> lbx_;
-    tiles_y_ = (e.ny + by - 1) >> lby_;
-    tiles_z_ = (e.nz + bz - 1) >> lbz_;
-  }
-
-  /// Cubic-tile convenience constructor (default 8^3 tiles: one 4-byte tile
-  /// is then two cache lines wide in x).
-  explicit TiledLayout(const Extents3D& e, std::uint32_t b = 8) : TiledLayout(e, b, b, b) {}
-
-  [[nodiscard]] std::size_t index(std::uint32_t i, std::uint32_t j,
-                                  std::uint32_t k) const noexcept {
-    const std::uint32_t ti = i >> lbx_, tj = j >> lby_, tk = k >> lbz_;
-    const std::uint32_t li = i & (bx_ - 1), lj = j & (by_ - 1), lk = k & (bz_ - 1);
-    const std::size_t tile =
-        ti + static_cast<std::size_t>(tiles_x_) * (tj + static_cast<std::size_t>(tiles_y_) * tk);
-    const std::size_t within =
-        li + (static_cast<std::size_t>(lj) << lbx_) + (static_cast<std::size_t>(lk) << (lbx_ + lby_));
-    return (tile << (lbx_ + lby_ + lbz_)) + within;
-  }
-
-  [[nodiscard]] const Extents3D& extents() const noexcept { return extents_; }
-  [[nodiscard]] std::size_t required_capacity() const noexcept {
-    return (static_cast<std::size_t>(tiles_x_) * tiles_y_ * tiles_z_) << (lbx_ + lby_ + lbz_);
-  }
-  [[nodiscard]] static constexpr std::string_view name() noexcept { return "tiled"; }
-
-  [[nodiscard]] std::uint32_t tile_x() const noexcept { return bx_; }
-  [[nodiscard]] std::uint32_t tile_y() const noexcept { return by_; }
-  [[nodiscard]] std::uint32_t tile_z() const noexcept { return bz_; }
-
- private:
-  Extents3D extents_{};
-  std::uint32_t bx_ = 1, by_ = 1, bz_ = 1;
-  unsigned lbx_ = 0, lby_ = 0, lbz_ = 0;
-  std::uint32_t tiles_x_ = 0, tiles_y_ = 0, tiles_z_ = 0;
-};
-
-// ---------------------------------------------------------------------------
 // Hilbert order
 // ---------------------------------------------------------------------------
 
@@ -191,8 +99,7 @@ class HilbertLayout {
 };
 
 static_assert(Layout3D<ArrayOrderLayout>);
-static_assert(Layout3D<ZOrderLayout>);
-static_assert(Layout3D<TiledLayout>);
 static_assert(Layout3D<HilbertLayout>);
+static_assert(Layout3D<GeneralizedMortonLayout>);
 
 }  // namespace sfcvis::core

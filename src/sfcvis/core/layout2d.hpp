@@ -72,8 +72,8 @@ class ArrayOrderLayout2D {
 };
 
 /// Z-order image layout via per-axis tables (anisotropic-compact, exactly
-/// as the 3D ZOrderTables: interleave bit-planes while both axes still
-/// have them, then concatenate the surplus).
+/// as the 3D canonical InterleavePattern: interleave bit-planes while both
+/// axes still have them, then concatenate the surplus).
 class ZOrderLayout2D {
  public:
   ZOrderLayout2D() = default;

@@ -16,7 +16,7 @@
 //
 // The per-axis table scheme used by layouts (one table per axis holding the
 // pre-interleaved bit pattern of every possible coordinate value, after
-// Pascucci & Frank 2001) lives in zorder_tables.hpp / layout.hpp.
+// Pascucci & Frank 2001) lives in gmorton.hpp.
 #pragma once
 
 #include <cstdint>

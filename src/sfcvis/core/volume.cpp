@@ -6,7 +6,8 @@
 namespace sfcvis::core {
 
 const char* to_string(LayoutKind kind) noexcept {
-  // Kept in sync with each Layout::name(); static_asserts below pin them.
+  // The array, Hilbert and gmorton names match Layout::name(); the
+  // static_asserts below pin them.
   switch (kind) {
     case LayoutKind::kArray:
       return "array-order";
@@ -25,8 +26,6 @@ const char* to_string(LayoutKind kind) noexcept {
 }
 
 static_assert(ArrayOrderLayout::name() == std::string_view{"array-order"});
-static_assert(ZOrderLayout::name() == std::string_view{"z-order"});
-static_assert(TiledLayout::name() == std::string_view{"tiled"});
 static_assert(HilbertLayout::name() == std::string_view{"hilbert"});
 static_assert(GeneralizedMortonLayout::name() == std::string_view{"gmorton"});
 
@@ -93,25 +92,24 @@ LayoutSpec parse_layout_spec(std::string_view spec) {
 }
 
 AnyVolume make_volume(LayoutKind kind, const Extents3D& extents, const VolumeOpts& opts) {
+  const auto gmorton = [&](const InterleavePattern& pattern) {
+    return AnyVolume(kind, GMortonVolume(GeneralizedMortonLayout(extents, pattern), opts.memory,
+                                         opts.first_touch));
+  };
   switch (kind) {
     case LayoutKind::kArray:
       return AnyVolume(
           ArrayVolume(ArrayOrderLayout(extents), opts.memory, opts.first_touch));
     case LayoutKind::kZOrder:
-      return AnyVolume(ZOrderVolume(ZOrderLayout(extents), opts.memory, opts.first_touch));
+      return gmorton(InterleavePattern::canonical(extents));
     case LayoutKind::kTiled:
-      return AnyVolume(
-          TiledVolume(TiledLayout(extents, opts.tile), opts.memory, opts.first_touch));
+      return gmorton(InterleavePattern::tiled(extents, opts.tile, opts.tile, opts.tile));
     case LayoutKind::kHilbert:
       return AnyVolume(
           HilbertVolume(HilbertLayout(extents), opts.memory, opts.first_touch));
-    case LayoutKind::kGMorton: {
-      const InterleavePattern pattern =
-          opts.interleave.empty() ? InterleavePattern::canonical(extents)
-                                  : InterleavePattern(opts.interleave, extents);
-      return AnyVolume(GMortonVolume(GeneralizedMortonLayout(extents, pattern), opts.memory,
-                                     opts.first_touch));
-    }
+    case LayoutKind::kGMorton:
+      return gmorton(opts.interleave.empty() ? InterleavePattern::canonical(extents)
+                                             : InterleavePattern(opts.interleave, extents));
     case LayoutKind::kBricked:
       throw std::invalid_argument(
           "make_volume: \"bricked\" volumes cannot be allocated blank — pack a brick "

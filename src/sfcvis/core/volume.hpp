@@ -1,13 +1,17 @@
-// Runtime volume facade: one value type over the five float Grid3D layout
-// instantiations plus the out-of-core BrickedVolume backend.
+// Runtime volume facade: one value type over the three float Grid3D layout
+// instantiations (array order, Hilbert, generalized Morton) plus the
+// out-of-core BrickedVolume backend.
 //
 // The paper's Sec. III-C requirement is that swapping the memory layout be
 // transparent to the application. The Layout3D templates deliver that at
 // compile time; AnyVolume extends it to runtime so drivers, benches, and
-// tools can pick a layout from a flag without spelling the 5-way template
-// cross-product. make_volume() (volume.cpp) is the ONLY place in the
-// library where the per-layout Grid3D instantiations are written out —
-// a CI grep gate (tools/check_layout_gate.sh) keeps it that way.
+// tools can pick a layout from a flag without spelling the template
+// cross-product. The five in-core LayoutKinds map onto three grid types:
+// "z-order" and "tiled" are generalized-Morton patterns, so every kernel
+// behind the facade is compiled once per grid type, not once per name.
+// make_volume() (volume.cpp) is the ONLY place in the library where the
+// per-layout Grid3D instantiations are written out — a CI grep gate
+// (tools/check_layout_gate.sh) keeps it that way.
 #pragma once
 
 #include <cstdint>
@@ -40,46 +44,44 @@ struct LayoutSpec {
 /// at make_volume time). Throws std::invalid_argument for unknown names.
 [[nodiscard]] LayoutSpec parse_layout_spec(std::string_view spec);
 
-/// Named aliases for the five concrete volumes. Kernel drivers spell their
-/// array-order outputs with ArrayVolume; the per-layout spellings
+/// Named aliases for the three concrete volumes. Kernel drivers spell
+/// their array-order outputs with ArrayVolume; the per-layout spellings
 /// themselves stay confined to core/ (enforced by the CI grep gate).
 using ArrayVolume = Grid3D<float, ArrayOrderLayout>;
-using ZOrderVolume = Grid3D<float, ZOrderLayout>;
-using TiledVolume = Grid3D<float, TiledLayout>;
 using HilbertVolume = Grid3D<float, HilbertLayout>;
 using GMortonVolume = Grid3D<float, GeneralizedMortonLayout>;
 
 /// Construction knobs for make_volume.
 struct VolumeOpts {
-  std::uint32_t tile = 8;        ///< tiled-layout block edge (pow2)
+  std::uint32_t tile = 8;        ///< kTiled block edge (pow2)
   std::string interleave;        ///< gmorton pattern; empty = canonical
   MemoryPolicy memory{};         ///< placement policy (huge pages, first-touch)
   FirstTouchFn first_touch{};    ///< parallel-init hook when memory.first_touch
 };
 
-/// A float volume in any of the five in-core layouts or the out-of-core
+/// A float volume in any of the five in-core layout kinds or the out-of-core
 /// bricked backend — std::variant underneath, so it is a value type
 /// (copy/move work; a copied bricked volume shares its cache) and visit()
 /// recovers the static type for kernels.
 class AnyVolume {
  public:
-  // Alternative order must track the LayoutKind enum: kind() is the
-  // variant index.
-  using Variant = std::variant<ArrayVolume, ZOrderVolume, TiledVolume, HilbertVolume,
-                               GMortonVolume, BrickedVolume>;
+  using Variant = std::variant<ArrayVolume, HilbertVolume, GMortonVolume, BrickedVolume>;
 
   AnyVolume() = default;
 
-  /// Wraps (moves in) a concrete grid.
+  /// Wraps (moves in) a concrete grid; kind() reports the kind of its type
+  /// (a wrapped generalized-Morton grid is kGMorton whatever its pattern).
   template <Layout3D L>
-  AnyVolume(Grid3D<float, L> grid) : v_(std::move(grid)) {}  // NOLINT(google-explicit-constructor)
+  AnyVolume(Grid3D<float, L> grid)  // NOLINT(google-explicit-constructor)
+      : AnyVolume(kind_of(grid), std::move(grid)) {}
 
   /// Wraps an opened out-of-core bricked volume.
-  AnyVolume(BrickedVolume bricked) : v_(std::move(bricked)) {}  // NOLINT(google-explicit-constructor)
+  AnyVolume(BrickedVolume bricked)  // NOLINT(google-explicit-constructor)
+      : AnyVolume(LayoutKind::kBricked, std::move(bricked)) {}
 
-  [[nodiscard]] LayoutKind kind() const noexcept {
-    return static_cast<LayoutKind>(v_.index());
-  }
+  /// The kind the volume was made as: "z-order" and "tiled" volumes hold a
+  /// generalized-Morton grid but keep their own kind.
+  [[nodiscard]] LayoutKind kind() const noexcept { return kind_; }
 
   /// Layout name of the held grid (same strings as to_string(kind())).
   [[nodiscard]] const char* layout_name() const noexcept { return to_string(kind()); }
@@ -155,12 +157,28 @@ class AnyVolume {
   [[nodiscard]] AnyVolume convert_to(LayoutKind kind, const VolumeOpts& opts = {}) const;
 
  private:
+  friend AnyVolume make_volume(LayoutKind, const Extents3D&, const VolumeOpts&);
+
+  template <class Held>
+  AnyVolume(LayoutKind kind, Held held) : kind_(kind), v_(std::move(held)) {}
+
+  static constexpr LayoutKind kind_of(const ArrayVolume&) noexcept { return LayoutKind::kArray; }
+  static constexpr LayoutKind kind_of(const HilbertVolume&) noexcept {
+    return LayoutKind::kHilbert;
+  }
+  static constexpr LayoutKind kind_of(const GMortonVolume&) noexcept {
+    return LayoutKind::kGMorton;
+  }
+
+  LayoutKind kind_ = LayoutKind::kArray;
   Variant v_;
 };
 
 /// Allocates a zeroed volume of the given layout kind — the single place
-/// the five Grid3D instantiations are spelled. For kGMorton,
-/// opts.interleave selects the pattern (empty = canonical Z-equivalent).
+/// the three Grid3D instantiations are spelled. The curve kinds pick a
+/// generalized-Morton pattern: kZOrder the canonical one, kTiled the
+/// tiled one with opts.tile-edge cubes (each axis padded to a power of
+/// two), kGMorton opts.interleave (empty = canonical).
 /// kBricked throws std::invalid_argument: a bricked volume is opened from
 /// a packed file (pack_brick_file + BrickedVolume::open), never allocated.
 [[nodiscard]] AnyVolume make_volume(LayoutKind kind, const Extents3D& extents,

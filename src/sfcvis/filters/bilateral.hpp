@@ -31,7 +31,6 @@
 #include "sfcvis/core/simd.hpp"
 #include "sfcvis/core/traced_view.hpp"
 #include "sfcvis/core/volume.hpp"
-#include "sfcvis/core/zquery.hpp"
 #include "sfcvis/exec/execution_context.hpp"
 #include "sfcvis/filters/fastmath.hpp"
 #include "sfcvis/filters/kernels_common.hpp"
@@ -606,35 +605,6 @@ inline void bilateral_parallel(const core::AnyVolume& src, core::ArrayVolume& ds
   return src.visit([&](const auto& grid) { return bilateral_job(grid, dst, params); });
 }
 
-namespace detail {
-
-/// Invokes fn(i, j, k) for every logical voxel of `e` whose padded-curve
-/// index lies in [begin, end), in curve (storage) order. `cubic` selects
-/// the branch-free magic-bits decode, valid whenever the padded curve is
-/// plain Morton (all padded axes equal); otherwise the anisotropic table
-/// curve decodes through `tables`.
-template <class Fn>
-void zsweep_range(const core::ZOrderTables& tables, const core::Extents3D& e,
-                  bool cubic, std::size_t begin, std::size_t end, Fn&& fn) {
-  if (cubic) {
-    for (std::size_t idx = begin; idx < end; ++idx) {
-      const core::MortonCoord3D c = core::morton_decode_3d(idx);
-      if (e.contains(c.x, c.y, c.z)) {
-        fn(c.x, c.y, c.z);
-      }
-    }
-    return;
-  }
-  for (std::size_t idx = begin; idx < end; ++idx) {
-    const core::Coord3D c = tables.decode(idx);
-    if (e.contains(c.i, c.j, c.k)) {
-      fn(c.i, c.j, c.k);
-    }
-  }
-}
-
-}  // namespace detail
-
 /// Curve-order sweep: processes voxels in Z-curve order instead of
 /// pencils, partitioning the curve into `num_chunks` contiguous ranges
 /// handed to threads round-robin. With a Z-order source layout the sweep
@@ -658,9 +628,8 @@ template <core::VolumeBackend VolT>
   // *logical* voxels per chunk stays at roughly size / (threads *
   // chunks_per_thread) even when much of the padded curve is holes —
   // 48^3 pads to 64^3: 58% padding).
-  auto tables = std::make_shared<const core::ZOrderTables>(e);
-  const bool cubic = tables->padded().nx == tables->padded().ny &&
-                     tables->padded().ny == tables->padded().nz;
+  auto tables =
+      std::make_shared<const core::GMortonTables>(e, core::InterleavePattern::canonical(e));
   const std::size_t cap = tables->capacity();
   const std::size_t num_chunks = ctx.curve_chunks(e.size(), cap);
   const std::size_t chunk_len = (cap + num_chunks - 1) / num_chunks;
@@ -671,17 +640,17 @@ template <core::VolumeBackend VolT>
   return detail::make_state_job(
       "bilateral.zsweep", num_chunks, dst.data(),
       [src_p](unsigned) { return core::make_read_view(*src_p); },
-      [dst_p, weights, tables, params, e, cubic, cap, chunk_len](
+      [dst_p, weights, tables, params, e, cap, chunk_len](
           const auto& view, std::size_t chunk, unsigned) {
         SFCVIS_TRACE_SPAN("bilateral.zsweep.chunk", nullptr, chunk);
         const std::size_t begin = chunk * chunk_len;
         const std::size_t end = std::min(cap, begin + chunk_len);
-        detail::zsweep_range(*tables, e, cubic, std::min(begin, end), end,
-                             [&](std::uint32_t i, std::uint32_t j, std::uint32_t k) {
-                               dst_p->at(i, j, k) =
-                                   bilateral_voxel(view, i, j, k, *weights,
-                                                   params.sigma_range, params.order);
-                             });
+        core::for_each_curve_voxel(*tables, e, std::min(begin, end), end,
+                                   [&](std::uint32_t i, std::uint32_t j, std::uint32_t k) {
+                                     dst_p->at(i, j, k) =
+                                         bilateral_voxel(view, i, j, k, *weights,
+                                                         params.sigma_range, params.order);
+                                   });
       },
       "bilateral.zsweep");
 }
@@ -724,9 +693,8 @@ void bilateral_zsweep_traced(const VolT& src, core::ArrayVolume& dst,
   // Same padded-curve chunking as bilateral_zsweep (chunk ranges are
   // layout-independent, so capped replays compare identical voxel sets
   // across layouts), decoded on the fly — no materialized order vector.
-  auto tables = std::make_shared<const core::ZOrderTables>(e);
-  const bool cubic = tables->padded().nx == tables->padded().ny &&
-                     tables->padded().ny == tables->padded().nz;
+  auto tables =
+      std::make_shared<const core::GMortonTables>(e, core::InterleavePattern::canonical(e));
   const std::size_t cap = tables->capacity();
   const unsigned num_threads = provider.num_threads();
   const std::size_t num_chunks = std::max<std::size_t>(
@@ -748,17 +716,17 @@ void bilateral_zsweep_traced(const VolT& src, core::ArrayVolume& dst,
   job.tiles = std::min(max_items, order->size());
   job.output = dst.data();
   job.span_name = "bilateral.zsweep.traced";
-  job.tile = [src_p, dst_p, weights, tables, params, e, cubic, cap, chunk_len, order,
+  job.tile = [src_p, dst_p, weights, tables, params, e, cap, chunk_len, order,
               sinks](void*, std::size_t t, unsigned) {
     const auto& assignment = (*order)[t];
     const auto view = core::make_traced_view(*src_p, (*sinks)[assignment.tid]);
     const std::size_t begin = assignment.item * chunk_len;
     const std::size_t end = std::min(cap, begin + chunk_len);
-    detail::zsweep_range(*tables, e, cubic, std::min(begin, end), end,
-                         [&](std::uint32_t i, std::uint32_t j, std::uint32_t k) {
-                           dst_p->at(i, j, k) = bilateral_voxel(
-                               view, i, j, k, *weights, params.sigma_range, params.order);
-                         });
+    core::for_each_curve_voxel(*tables, e, std::min(begin, end), end,
+                               [&](std::uint32_t i, std::uint32_t j, std::uint32_t k) {
+                                 dst_p->at(i, j, k) = bilateral_voxel(
+                                     view, i, j, k, *weights, params.sigma_range, params.order);
+                               });
   };
   exec::ExecutionContext replay_ctx = detail::make_replay_context();
   detail::run_job(replay_ctx, std::move(job));

@@ -32,8 +32,10 @@ using core::ArrayOrderLayout;
 using core::Extents3D;
 using core::Grid3D;
 using core::LayoutKind;
-using core::ZOrderLayout;
 using ArrayGrid = core::ArrayVolume;
+
+/// Tile edges the fuzz cases draw for kTiled volumes.
+constexpr std::uint32_t kTiles[] = {2, 4, 8};
 
 void record(FuzzSummary& summary, DiffReport report) {
   ++summary.checks;
@@ -246,12 +248,8 @@ void check_gathered(FuzzSummary& summary, const VolT& grid, const std::vector<fl
 /// whenever the file has more bricks than the ring while the cache evicts
 /// underneath it.
 template <core::VolumeBackend VolT>
-void spot_check_gather(FuzzSummary& summary, const VolT& grid,
+void spot_check_gather(FuzzSummary& summary, const VolT& grid, const char* backend_name,
                        SplitMix64& rng, unsigned rows) {
-  const char* backend_name = "bricked";
-  if constexpr (requires { typename VolT::layout_type; }) {
-    backend_name = VolT::layout_type::name().data();
-  }
   const auto view = core::make_read_view(grid);
   const Extents3D& e = grid.extents();
   const std::uint32_t dims[3] = {e.nx, e.ny, e.nz};
@@ -624,7 +622,6 @@ FuzzSummary run_fuzz_case(std::uint64_t seed, const FuzzOptions& opts) {
   summary.extents = e;
   const std::uint64_t content_seed = rng.next();
   const auto fill_kind = static_cast<unsigned>(rng.below(3));
-  static constexpr std::uint32_t kTiles[] = {2, 4, 8};
   const VolumeSet vols = make_volumes(e, content_seed, fill_kind, rng.pick(kTiles), rng, desc);
 
   const auto nthreads = static_cast<unsigned>(rng.range(1, 4));
@@ -632,7 +629,9 @@ FuzzSummary run_fuzz_case(std::uint64_t seed, const FuzzOptions& opts) {
   desc << " threads=" << nthreads;
 
   const auto spot = [&](const AnyVolume& v, unsigned rows) {
-    v.visit([&](const auto& grid) { spot_check_gather(summary, grid, rng, rows); });
+    v.visit([&](const auto& grid) {
+      spot_check_gather(summary, grid, v.layout_name(), rng, rows);
+    });
   };
   spot(vols.array, 2);
   spot(vols.zorder, 3);
@@ -736,18 +735,31 @@ FuzzSummary run_metamorphic_case(std::uint64_t seed, const FuzzOptions& opts) {
   cfg.macrocell_size = rng.chance(50) ? 4u : 8u;
   cfg.packet_size = rng.chance(50) ? (rng.chance(50) ? 4u : 8u) : 1u;
   desc << " packet=" << cfg.packet_size;
-  const auto zvolume = core::convert_layout<ZOrderLayout>(volume);
-  for (unsigned vp = 0; vp < 8; ++vp) {
-    const render::Camera camera = render::orbit_camera(
-        vp, 8, static_cast<float>(e.nx), static_cast<float>(e.ny), static_cast<float>(e.nz));
-    cfg.use_macrocells = false;
-    const render::Image dense = render::raycast_parallel(zvolume, camera, tf, cfg, pool);
-    cfg.use_macrocells = true;
-    const render::Image skipped = render::raycast_parallel(zvolume, camera, tf, cfg, pool);
-    std::ostringstream ctx;
-    ctx << "metamorphic macrocell identity vp" << vp << " mc" << cfg.macrocell_size;
-    record(summary, compare_images(dense, skipped, Tolerance::bit_identical(), ctx.str()));
-  }
+  const auto macrocell_identity = [&](const AnyVolume& curve) {
+    for (unsigned vp = 0; vp < 8; ++vp) {
+      const render::Camera camera = render::orbit_camera(
+          vp, 8, static_cast<float>(e.nx), static_cast<float>(e.ny), static_cast<float>(e.nz));
+      cfg.use_macrocells = false;
+      const render::Image dense = render::raycast_parallel(curve, camera, tf, cfg, pool);
+      cfg.use_macrocells = true;
+      const render::Image skipped = render::raycast_parallel(curve, camera, tf, cfg, pool);
+      std::ostringstream ctx;
+      ctx << "metamorphic macrocell identity " << curve.layout_name() << " vp" << vp << " mc"
+          << cfg.macrocell_size;
+      record(summary, compare_images(dense, skipped, Tolerance::bit_identical(), ctx.str()));
+    }
+  };
+  // Every generalized-Morton pattern that keeps whole macrocell blocks
+  // contiguous takes the linear-scan build, so the identity runs on the
+  // canonical (z-order), a tiled and a random-interleave volume.
+  const AnyVolume source(std::move(volume));
+  macrocell_identity(source.convert_to(LayoutKind::kZOrder));
+  core::VolumeOpts curve_opts;
+  curve_opts.tile = rng.pick(kTiles);
+  curve_opts.interleave = random_interleave(e, rng);
+  desc << " tile=" << curve_opts.tile << " gmorton=" << curve_opts.interleave;
+  macrocell_identity(source.convert_to(LayoutKind::kTiled, curve_opts));
+  macrocell_identity(source.convert_to(LayoutKind::kGMorton, curve_opts));
 
   summary.description = desc.str();
   return summary;

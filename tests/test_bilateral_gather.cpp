@@ -27,8 +27,8 @@ namespace trace = sfcvis::trace;
 
 using core::ArrayOrderLayout;
 using core::Extents3D;
+using core::GeneralizedMortonLayout;
 using core::Grid3D;
-using core::ZOrderLayout;
 using filters::BilateralParams;
 using filters::LoopOrder;
 using filters::PencilAxis;
@@ -230,10 +230,11 @@ TEST(BilateralGather, TracedRunStatsEqualTheRowGathersOfThePass) {
   const Extents3D e{20, 17, 13};
   Grid3D<float, ArrayOrderLayout> src(e);
   fill_noisy_step(src);
-  Grid3D<float, ZOrderLayout> zsrc(e);
+  Grid3D<float, GeneralizedMortonLayout> zsrc(e);
   zsrc.copy_from(src);
-  Grid3D<float, core::GeneralizedMortonLayout> gsrc(e);
-  gsrc.copy_from(src);
+  Grid3D<float, GeneralizedMortonLayout> tsrc(
+      GeneralizedMortonLayout(e, core::InterleavePattern::tiled(e, 8, 8, 8)));
+  tsrc.copy_from(src);
   auto& tracer = trace::Tracer::instance();
   const auto check = [&](const auto& grid, PencilAxis pencil) {
     BilateralParams params;
@@ -265,7 +266,7 @@ TEST(BilateralGather, TracedRunStatsEqualTheRowGathersOfThePass) {
   for (const PencilAxis pencil : {PencilAxis::kX, PencilAxis::kY, PencilAxis::kZ}) {
     check(src, pencil);
     check(zsrc, pencil);
-    check(gsrc, pencil);
+    check(tsrc, pencil);
   }
   tracer.reset_metrics();
 }
@@ -277,7 +278,7 @@ TEST(BilateralGather, ExactModeBitIdenticalToReferenceZPencil) {
   const Extents3D e = Extents3D::cube(14);
   Grid3D<float, ArrayOrderLayout> src(e);
   fill_noisy_step(src);
-  Grid3D<float, ZOrderLayout> zsrc(e);
+  Grid3D<float, GeneralizedMortonLayout> zsrc(e);
   zsrc.copy_from(src);
   Grid3D<float, ArrayOrderLayout> ref(e);
   filters::bilateral_reference(src, ref, 2, 1.5f, 0.1f);
@@ -314,7 +315,7 @@ TEST(BilateralGather, FastExpWithinTolAllAxesAndLayouts) {
   const Extents3D e{13, 12, 14};
   Grid3D<float, ArrayOrderLayout> src(e);
   fill_noisy_step(src);
-  Grid3D<float, ZOrderLayout> zsrc(e);
+  Grid3D<float, GeneralizedMortonLayout> zsrc(e);
   zsrc.copy_from(src);
   Grid3D<float, ArrayOrderLayout> ref(e);
   filters::bilateral_reference(src, ref, 2, 1.5f, 0.1f);
@@ -375,7 +376,7 @@ TEST(BilateralGather, FullModeCombinationMatrix) {
   const Extents3D e{12, 11, 13};
   Grid3D<float, ArrayOrderLayout> src(e);
   fill_noisy_step(src);
-  Grid3D<float, ZOrderLayout> zsrc(e);
+  Grid3D<float, GeneralizedMortonLayout> zsrc(e);
   zsrc.copy_from(src);
   Grid3D<float, ArrayOrderLayout> ref(e);
   filters::bilateral_reference(src, ref, 2, 1.5f, 0.1f);
@@ -443,7 +444,7 @@ namespace {
 void check_degenerate(const Extents3D& e, unsigned radius) {
   Grid3D<float, ArrayOrderLayout> src(e);
   fill_noisy_step(src);
-  Grid3D<float, ZOrderLayout> zsrc(e);
+  Grid3D<float, GeneralizedMortonLayout> zsrc(e);
   zsrc.copy_from(src);
   Grid3D<float, ArrayOrderLayout> ref(e);
   filters::bilateral_reference(src, ref, radius, 1.5f, 0.1f);

@@ -59,12 +59,15 @@ struct TempBrickFile {
   std::filesystem::path path;
   BrickFileInfo info;
 
-  TempBrickFile(const Extents3D& extents, const BrickPackOptions& opts) {
+  TempBrickFile(const Extents3D& extents, const BrickPackOptions& opts)
+      : TempBrickFile(make_source(extents), opts) {}
+
+  TempBrickFile(const AnyVolume& src, const BrickPackOptions& opts) {
     static int serial = 0;
     path = std::filesystem::temp_directory_path() /
            ("sfcvis_test_bricked_" + std::to_string(::getpid()) + "_" +
             std::to_string(serial++) + ".sfcbrk");
-    info = core::pack_brick_file(path.string(), make_source(extents), opts);
+    info = core::pack_brick_file(path.string(), src, opts);
   }
   ~TempBrickFile() {
     std::error_code ec;
@@ -272,6 +275,44 @@ TEST(BrickFile, RoundTripsBitIdenticalAcrossInnerLayouts) {
         }
       }
     }
+  }
+}
+
+TEST(BrickFile, PackedBytesArePinnedPerInnerLayout) {
+  // A fixed 32^3 volume packed at edge 8 with each curve inner kind. All
+  // three resolve to generalized-Morton patterns over the brick cube; the
+  // FNV-1a hash of the whole file pins every header field and every inner
+  // LUT entry of the format. Voxels are 24-bit hash values scaled by 2^-24,
+  // exact in float: a volume computed in floating point (the MRI phantom)
+  // packs different bytes under different codegen flags.
+  AnyVolume src = core::make_volume(LayoutKind::kArray, Extents3D::cube(32));
+  src.fill_from([](std::uint32_t i, std::uint32_t j, std::uint32_t k) {
+    std::uint64_t x = i + 32u * (j + 32u * k) + 0x9e3779b97f4a7c15ULL;
+    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+    x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+    return static_cast<float>((x ^ (x >> 31)) >> 40) * 0x1p-24f;
+  });
+  const struct {
+    LayoutKind kind;
+    std::uint32_t tile;
+    std::uint64_t fnv1a;
+  } cases[] = {
+      {LayoutKind::kZOrder, 8, 0xe2e54adbcff2a5d9ULL},
+      {LayoutKind::kTiled, 4, 0xf15d9e220251a6deULL},
+      {LayoutKind::kGMorton, 8, 0x6433a9962743eb30ULL},
+  };
+  for (const auto& c : cases) {
+    BrickPackOptions opts;
+    opts.brick_edge = 8;
+    opts.inner_kind = c.kind;
+    opts.inner_tile = c.tile;
+    const TempBrickFile file(src, opts);
+    std::ifstream in(file.path, std::ios::binary);
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    for (char byte = 0; in.get(byte);) {
+      h = (h ^ static_cast<std::uint8_t>(byte)) * 0x100000001b3ULL;
+    }
+    EXPECT_EQ(h, c.fnv1a) << core::to_string(c.kind) << " 0x" << std::hex << h;
   }
 }
 

@@ -4,7 +4,7 @@
 //  * every layout's gather_row agrees with element-wise at() for every
 //    axis, start position and length, and reports its real contiguous runs;
 //  * gather_plane agrees with an at() walk for all three pencil axes on
-//    all six backends, including the out-of-core bricked views.
+//    every layout kind, including the out-of-core bricked views.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -26,6 +26,11 @@
 namespace core = sfcvis::core;
 
 namespace {
+
+/// The tiled generalized-Morton member with b^3 tiles (kTiled's layout).
+core::GeneralizedMortonLayout tiled_layout(const core::Extents3D& e, std::uint32_t b) {
+  return core::GeneralizedMortonLayout(e, core::InterleavePattern::tiled(e, b, b, b));
+}
 
 /// Fills with a value that uniquely identifies the coordinate.
 template <class Grid>
@@ -137,28 +142,28 @@ TEST(GatherRow, ArrayOrderAnisotropic) {
 
 TEST(GatherRow, ZOrderCubePow2) {
   // Padded curve is cubic: exercises the incremental-Morton run walker.
-  core::Grid3D<float, core::ZOrderLayout> g(core::Extents3D::cube(8));
+  core::Grid3D<float, core::GeneralizedMortonLayout> g(core::Extents3D::cube(8));
   fill_coded(g);
   expect_all_rows_match(g);
 }
 
 TEST(GatherRow, ZOrderNonPow2Cube) {
   // 9^3 pads to 16^3 — still cubic, but rows cross padding holes.
-  core::Grid3D<float, core::ZOrderLayout> g(core::Extents3D::cube(9));
+  core::Grid3D<float, core::GeneralizedMortonLayout> g(core::Extents3D::cube(9));
   fill_coded(g);
   expect_all_rows_match(g);
 }
 
 TEST(GatherRow, ZOrderAnisotropic) {
   // Padded axes differ: exercises the per-axis deposit-table walker.
-  core::Grid3D<float, core::ZOrderLayout> g(core::Extents3D{11, 6, 9});
+  core::Grid3D<float, core::GeneralizedMortonLayout> g(core::Extents3D{11, 6, 9});
   fill_coded(g);
   expect_all_rows_match(g);
 }
 
-TEST(GatherRow, TiledLayout) {
-  core::Grid3D<float, core::TiledLayout> g(
-      core::TiledLayout(core::Extents3D{11, 6, 9}, 4));
+TEST(GatherRow, TiledPattern) {
+  core::Grid3D<float, core::GeneralizedMortonLayout> g(
+      tiled_layout(core::Extents3D{11, 6, 9}, 4));
   fill_coded(g);
   expect_all_rows_match(g);
 }
@@ -188,8 +193,8 @@ TEST(GatherRow, HilbertNonPow2Anisotropic) {
 TEST(GatherRow, TiledCubeBlockBoundaries) {
   // Extent is an exact multiple of the tile: every boundary start sits on a
   // tile seam, hitting the inter-tile stride path in the fallback.
-  core::Grid3D<float, core::TiledLayout> g(
-      core::TiledLayout(core::Extents3D::cube(48), 8));
+  core::Grid3D<float, core::GeneralizedMortonLayout> g(
+      tiled_layout(core::Extents3D::cube(48), 8));
   fill_coded(g);
   expect_rows_match_at_block_boundaries(g, 8);
 }
@@ -197,8 +202,8 @@ TEST(GatherRow, TiledCubeBlockBoundaries) {
 TEST(GatherRow, TiledNonPow2AnisotropicBlockBoundaries) {
   // 37x21x13 with 4^3 tiles leaves partial tiles on every axis; rows cross
   // both full and clipped tiles.
-  core::Grid3D<float, core::TiledLayout> g(
-      core::TiledLayout(core::Extents3D{37, 21, 13}, 4));
+  core::Grid3D<float, core::GeneralizedMortonLayout> g(
+      tiled_layout(core::Extents3D{37, 21, 13}, 4));
   fill_coded(g);
   expect_rows_match_at_block_boundaries(g, 4);
 }
@@ -206,13 +211,13 @@ TEST(GatherRow, TiledNonPow2AnisotropicBlockBoundaries) {
 TEST(GatherRow, ZOrderNonPow2AnisotropicBlockBoundaries) {
   // Same shape on the anisotropic Z-order tables: padded axis widths differ
   // (64/32/16), so boundary crossings differ per axis.
-  core::Grid3D<float, core::ZOrderLayout> g(core::Extents3D{37, 21, 13});
+  core::Grid3D<float, core::GeneralizedMortonLayout> g(core::Extents3D{37, 21, 13});
   fill_coded(g);
   expect_rows_match_at_block_boundaries(g, 8);
 }
 
 TEST(GatherRow, SingleVoxelGrid) {
-  core::Grid3D<float, core::ZOrderLayout> g(core::Extents3D{1, 1, 1});
+  core::Grid3D<float, core::GeneralizedMortonLayout> g(core::Extents3D{1, 1, 1});
   g.at(0, 0, 0) = 42.0f;
   float out = 0.0f;
   core::gather_row(g, core::Axis3::kX, 0, 0, 0, 1, &out);
@@ -265,9 +270,9 @@ TEST(Separability, IdentityHoldsExhaustivelyOnEverySeparableLayout) {
                                   core::Extents3D::cube(48), core::Extents3D{16, 4, 64}}) {
     SCOPED_TRACE(::testing::Message() << e.nx << "x" << e.ny << "x" << e.nz);
     expect_separable(core::ArrayOrderLayout(e));
-    expect_separable(core::ZOrderLayout(e));
-    expect_separable(core::TiledLayout(e, 8));
-    expect_separable(core::TiledLayout(e, 4, 2, 8));
+    expect_separable(tiled_layout(e, 8));
+    expect_separable(
+        core::GeneralizedMortonLayout(e, core::InterleavePattern::tiled(e, 4, 2, 8)));
     expect_separable(core::GeneralizedMortonLayout(e));
     expect_separable(
         core::GeneralizedMortonLayout(e, core::InterleavePattern::tiled(e, 4, 4, 2)));
@@ -282,7 +287,7 @@ TEST(GatherRowRuns, ZOrderXRowsCopyMortonPairs) {
   // Along x, Morton indices pair up (x and x+1 share all but bit 0 when x
   // is even), so a 7-voxel row splits into four runs from either parity,
   // and the walker still reproduces the exact element sequence.
-  core::Grid3D<float, core::ZOrderLayout> g(core::Extents3D::cube(16));
+  core::Grid3D<float, core::GeneralizedMortonLayout> g(core::Extents3D::cube(16));
   fill_coded(g);
   for (std::uint32_t x0 : {0u, 1u, 2u, 3u}) {
     std::vector<float> out(7, -1.0f);
@@ -304,7 +309,7 @@ TEST(GatherRowRuns, ArrayAndTiledRowsReportTheirRealRuns) {
   // one tile column is n runs of 1.
   const core::Extents3D e{16, 8, 8};
   core::Grid3D<float, core::ArrayOrderLayout> a(e);
-  core::Grid3D<float, core::TiledLayout> t(core::TiledLayout(e, 4));
+  core::Grid3D<float, core::GeneralizedMortonLayout> t(tiled_layout(e, 4));
   fill_coded(a);
   fill_coded(t);
   std::vector<float> out(16);

@@ -1,10 +1,12 @@
 // Tests for the generalized-Morton layout family (core/gmorton.hpp):
-// pattern parsing/validation, the degeneracy pins (canonical string ==
-// kZOrder indices, "zz..yy..xx" == row-major, tiled generator ==
-// TiledLayout on pow2 shapes), codec round-trips, gather_row
-// equivalence, and cache-key salting.
+// pattern parsing/validation, the degeneracy pins against independent
+// oracles (canonical == Morton codes on cubes and the Pascucci-Frank bit
+// assignment elsewhere, "zz..yy..xx" == row-major, tiled == the blocked
+// closed form on pow2 shapes), codec round-trips, gather_row equivalence,
+// the facade's kind-to-grid mapping, and cache-key salting.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <random>
 #include <string>
@@ -13,6 +15,7 @@
 #include "sfcvis/core/gather.hpp"
 #include "sfcvis/core/gmorton.hpp"
 #include "sfcvis/core/layout.hpp"
+#include "sfcvis/core/morton.hpp"
 #include "sfcvis/core/volume.hpp"
 
 namespace core = sfcvis::core;
@@ -22,8 +25,6 @@ using core::Extents3D;
 using core::GeneralizedMortonLayout;
 using core::GMortonTables;
 using core::InterleavePattern;
-using core::TiledLayout;
-using core::ZOrderLayout;
 
 namespace {
 
@@ -46,6 +47,43 @@ std::string scrambled_pattern(const Extents3D& e, std::uint64_t seed) {
     std::swap(s[i - 1], s[rng() % i]);
   }
   return s;
+}
+
+/// Oracle for the canonical pattern, independent of InterleavePattern: the
+/// per-axis Z-order bit assignment of Pascucci & Frank (2001) over the
+/// pow2-padded extents. Walking bit-planes from the least significant
+/// upward, the axes that still have bits left at a plane claim consecutive
+/// output bits in x, y, z order.
+std::size_t pascucci_frank_index(const Extents3D& e, std::uint32_t i, std::uint32_t j,
+                                 std::uint32_t k) {
+  const Extents3D p = core::padded_pow2(e);
+  const unsigned bits[3] = {core::log2_pow2(p.nx), core::log2_pow2(p.ny),
+                            core::log2_pow2(p.nz)};
+  const std::uint32_t c[3] = {i, j, k};
+  std::size_t index = 0;
+  unsigned out = 0;
+  for (unsigned plane = 0; plane < 21; ++plane) {
+    for (unsigned axis = 0; axis < 3; ++axis) {
+      if (plane < bits[axis]) {
+        index |= static_cast<std::size_t>((c[axis] >> plane) & 1u) << out++;
+      }
+    }
+  }
+  return index;
+}
+
+/// Oracle for the tiled pattern: the blocked closed form — b^3 tiles
+/// stored contiguously, row-major over the ceil-divided tile grid, voxels
+/// row-major within a tile.
+std::size_t tiled_closed_form(const Extents3D& e, std::uint32_t b, std::uint32_t i,
+                              std::uint32_t j, std::uint32_t k) {
+  const unsigned lb = core::log2_pow2(b);
+  const std::size_t tiles_x = (e.nx + b - 1) / b;
+  const std::size_t tiles_y = (e.ny + b - 1) / b;
+  const std::size_t tile = (i >> lb) + tiles_x * ((j >> lb) + tiles_y * (k >> lb));
+  const std::size_t within =
+      (i & (b - 1)) + (std::size_t{j & (b - 1)} << lb) + (std::size_t{k & (b - 1)} << (2 * lb));
+  return (tile << (3 * lb)) + within;
 }
 
 }  // namespace
@@ -129,16 +167,22 @@ TEST(InterleaveHash, DistinguishesPatterns) {
 // ---------------------------------------------------------------------------
 
 TEST(GMortonDegeneracy, CanonicalPatternMatchesZOrderEverywhere) {
+  // Cubes: plain Morton codes. Every shape (anisotropic and non-pow2
+  // included): the Pascucci-Frank bit assignment over the padded extents.
   for (const Extents3D& e : kShapes) {
-    const ZOrderLayout z(e);
     const GeneralizedMortonLayout g(e);  // default = canonical
-    ASSERT_EQ(g.required_capacity(), z.required_capacity());
+    const Extents3D p = core::padded_pow2(e);
+    const bool cube = p.nx == p.ny && p.ny == p.nz;
+    ASSERT_EQ(g.required_capacity(), p.size());
     for (std::uint32_t k = 0; k < e.nz; ++k) {
       for (std::uint32_t j = 0; j < e.ny; ++j) {
         for (std::uint32_t i = 0; i < e.nx; ++i) {
-          ASSERT_EQ(g.index(i, j, k), z.index(i, j, k))
+          ASSERT_EQ(g.index(i, j, k), pascucci_frank_index(e, i, j, k))
               << "(" << i << "," << j << "," << k << ") in " << e.nx << "x" << e.ny << "x"
               << e.nz;
+          if (cube) {
+            ASSERT_EQ(g.index(i, j, k), core::morton_encode_3d(i, j, k));
+          }
         }
       }
     }
@@ -172,15 +216,16 @@ TEST(GMortonDegeneracy, ArrayPatternMatchesRowMajorOverPaddedExtents) {
 }
 
 TEST(GMortonDegeneracy, TiledPatternMatchesTiledLayoutOnPow2Shapes) {
-  // TiledLayout uses ceil-div tile counts, so bit-exact agreement needs
-  // pow2 extents (where padding is the identity).
+  // The closed form uses ceil-div tile counts, so bit-exact agreement
+  // needs pow2 extents (where padding is the identity).
   for (const Extents3D& e : {Extents3D::cube(16), Extents3D{32, 16, 8}}) {
-    const TiledLayout t(e, 8);
-    const GeneralizedMortonLayout g(e, InterleavePattern::tiled(e, 8, 8, 8));
-    for (std::uint32_t k = 0; k < e.nz; ++k) {
-      for (std::uint32_t j = 0; j < e.ny; ++j) {
-        for (std::uint32_t i = 0; i < e.nx; ++i) {
-          ASSERT_EQ(g.index(i, j, k), t.index(i, j, k));
+    for (const std::uint32_t b : {4u, 8u}) {
+      const GeneralizedMortonLayout g(e, InterleavePattern::tiled(e, b, b, b));
+      for (std::uint32_t k = 0; k < e.nz; ++k) {
+        for (std::uint32_t j = 0; j < e.ny; ++j) {
+          for (std::uint32_t i = 0; i < e.nx; ++i) {
+            ASSERT_EQ(g.index(i, j, k), tiled_closed_form(e, b, i, j, k)) << "tile " << b;
+          }
         }
       }
     }
@@ -218,10 +263,13 @@ TEST(GMortonCodec, GatherRowMatchesDirectReads) {
     });
     std::vector<float> fast(32);
     core::GatherRunStats rs;
+    std::uint64_t gathered = 0;
     for (const core::Axis3 axis : {core::Axis3::kX, core::Axis3::kY, core::Axis3::kZ}) {
-      const std::uint32_t n =
-          axis == core::Axis3::kX ? e.nx : axis == core::Axis3::kY ? e.ny : e.nz;
       for (std::uint32_t j = 0; j < 4; ++j) {
+        // Rows start at (0, j, 1) and run to the end of the logical extent.
+        const std::uint32_t n =
+            axis == core::Axis3::kX ? e.nx : axis == core::Axis3::kY ? e.ny - j : e.nz - 1;
+        gathered += n;
         gather_row(vol, axis, 0, j, 1, n, fast.data(), &rs);
         for (std::uint32_t l = 0; l < n; ++l) {
           const std::uint32_t ii = axis == core::Axis3::kX ? l : 0;
@@ -233,8 +281,73 @@ TEST(GMortonCodec, GatherRowMatchesDirectReads) {
       }
     }
     EXPECT_GT(rs.runs, 0u);
-    EXPECT_EQ(rs.elements, 4u * (e.nx + e.ny + e.nz));
+    EXPECT_EQ(rs.elements, gathered);
   }
+}
+
+// ---------------------------------------------------------------------------
+// Curve-order sweeps (for_each_curve_voxel)
+// ---------------------------------------------------------------------------
+
+namespace {
+
+/// Visits every logical voxel of `tables` in curve order, as three chunks.
+template <class Fn>
+void sweep_in_chunks(const GMortonTables& tables, const Extents3D& e, Fn&& fn) {
+  const std::size_t cap = tables.capacity();
+  const std::size_t chunk = (cap + 2) / 3;
+  for (std::size_t begin = 0; begin < cap; begin += chunk) {
+    core::for_each_curve_voxel(tables, e, begin, std::min(cap, begin + chunk), fn);
+  }
+}
+
+}  // namespace
+
+TEST(ForEachZOrder, CoversLogicalExtentsExactlyOnce) {
+  for (const Extents3D e : {Extents3D{8, 8, 8}, Extents3D{5, 5, 5}, Extents3D{6, 3, 2},
+                            Extents3D{16, 4, 1}}) {
+    for (const InterleavePattern& pattern :
+         {InterleavePattern::canonical(e), InterleavePattern(scrambled_pattern(e, 5), e)}) {
+      const GMortonTables tables(e, pattern);
+      std::vector<int> cover(e.size(), 0);
+      sweep_in_chunks(tables, e, [&](std::uint32_t i, std::uint32_t j, std::uint32_t k) {
+        ASSERT_TRUE(e.contains(i, j, k));
+        cover[i + static_cast<std::size_t>(e.nx) * (j + static_cast<std::size_t>(e.ny) * k)] += 1;
+      });
+      for (std::size_t n = 0; n < cover.size(); ++n) {
+        ASSERT_EQ(cover[n], 1) << e.nx << "x" << e.ny << "x" << e.nz << " " << pattern.str();
+      }
+    }
+  }
+}
+
+TEST(ForEachZOrder, VisitsInMonotoneStorageOrder) {
+  // On a Z-order grid the traversal must touch strictly increasing storage
+  // offsets — the property that makes it the cache-optimal sweep. A
+  // canonical cube sweeps through the magic-bits Morton decode.
+  const Extents3D e{8, 8, 8};
+  const GeneralizedMortonLayout layout(e);
+  std::int64_t prev = -1;
+  sweep_in_chunks(layout.tables(), e, [&](std::uint32_t i, std::uint32_t j, std::uint32_t k) {
+    const auto idx = static_cast<std::int64_t>(layout.index(i, j, k));
+    ASSERT_GT(idx, prev);
+    prev = idx;
+  });
+}
+
+TEST(ForEachZOrder, AnisotropicAlsoMonotone) {
+  // Anisotropic padding sweeps through the table decode.
+  const Extents3D e{16, 4, 2};
+  const GeneralizedMortonLayout layout(e);
+  std::int64_t prev = -1;
+  std::size_t count = 0;
+  sweep_in_chunks(layout.tables(), e, [&](std::uint32_t i, std::uint32_t j, std::uint32_t k) {
+    const auto idx = static_cast<std::int64_t>(layout.index(i, j, k));
+    ASSERT_GT(idx, prev);
+    prev = idx;
+    ++count;
+  });
+  EXPECT_EQ(count, e.size());
 }
 
 // ---------------------------------------------------------------------------
@@ -242,11 +355,23 @@ TEST(GMortonCodec, GatherRowMatchesDirectReads) {
 // ---------------------------------------------------------------------------
 
 TEST(GMortonVolumeFacade, VariantIndexMatchesKindEnum) {
+  // The volume keeps the kind it was made as; z-order, tiled and gmorton
+  // all hold a generalized-Morton grid with their own pattern.
+  const Extents3D e = Extents3D::cube(16);
   for (const core::LayoutKind kind : core::kAllLayoutKinds) {
-    const core::AnyVolume v = core::make_volume(kind, Extents3D::cube(4));
+    const core::AnyVolume v = core::make_volume(kind, e);
     EXPECT_EQ(v.kind(), kind);
     EXPECT_STREQ(v.layout_name(), core::to_string(kind));
   }
+  const auto pattern_of = [&](core::LayoutKind kind) {
+    return core::make_volume(kind, e).as<GeneralizedMortonLayout>().layout().pattern();
+  };
+  EXPECT_EQ(pattern_of(core::LayoutKind::kZOrder), InterleavePattern::canonical(e));
+  EXPECT_EQ(pattern_of(core::LayoutKind::kTiled), InterleavePattern::tiled(e, 8, 8, 8));
+  EXPECT_EQ(pattern_of(core::LayoutKind::kGMorton), InterleavePattern::canonical(e));
+  // A wrapped grid reports the kind of its type.
+  const core::AnyVolume wrapped{core::GMortonVolume{GeneralizedMortonLayout(e)}};
+  EXPECT_EQ(wrapped.kind(), core::LayoutKind::kGMorton);
 }
 
 TEST(GMortonVolumeFacade, MakeVolumeHonorsInterleave) {
@@ -282,8 +407,11 @@ TEST(GMortonVolumeFacade, ConvertToRoundTripsContents) {
 }
 
 TEST(GMortonCacheSalt, ZeroForFixedLayoutsPatternHashForGMorton) {
-  EXPECT_EQ(core::layout_cache_salt(ZOrderLayout(Extents3D::cube(4))), 0u);
   EXPECT_EQ(core::layout_cache_salt(ArrayOrderLayout(Extents3D::cube(4))), 0u);
+  EXPECT_EQ(core::layout_cache_salt(core::HilbertLayout(Extents3D::cube(4))), 0u);
+  // Z-order is the canonical pattern, so it is salted like any other.
+  EXPECT_EQ(core::layout_cache_salt(GeneralizedMortonLayout(Extents3D::cube(4))),
+            core::interleave_hash("zyxzyx"));
   const Extents3D e = Extents3D::cube(4);
   const GeneralizedMortonLayout a(e, "zyxzyx");
   const GeneralizedMortonLayout b(e, "xyzxyz");

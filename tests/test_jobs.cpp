@@ -531,8 +531,7 @@ TEST(TracedDrift, ZsweepTracedChunkingMatchesUntwistedFormula) {
   // pins the constants so the replayed decomposition cannot drift from
   // the native one.
   const Extents3D e{24, 17, 11};
-  const core::ZOrderTables tables(e);
-  const std::size_t cap = tables.capacity();
+  const std::size_t cap = core::padded_pow2(e).size();
   for (const unsigned threads : {1u, 3u, 8u}) {
     for (const std::size_t cpt : {std::size_t{1}, std::size_t{8}}) {
       exec::ExecOptions opts;

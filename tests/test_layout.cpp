@@ -1,6 +1,7 @@
-// Tests for the layout policies (src/sfcvis/core/layout.hpp,
-// zorder_tables.*): bijectivity, capacity, padding, and the locality
-// ordering the paper relies on.
+// Tests for the layout policies (src/sfcvis/core/layout.hpp, gmorton.hpp):
+// bijectivity, capacity, padding, and the locality ordering the paper
+// relies on. Z-order and tiled are generalized-Morton patterns; their
+// specifics are checked against Morton codes and the tiled closed form.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -10,6 +11,7 @@
 #include "sfcvis/core/gmorton.hpp"
 #include "sfcvis/core/layout.hpp"
 #include "sfcvis/core/morton.hpp"
+#include "layout_members.hpp"
 
 namespace core = sfcvis::core;
 
@@ -17,8 +19,21 @@ using core::ArrayOrderLayout;
 using core::Extents3D;
 using core::GeneralizedMortonLayout;
 using core::HilbertLayout;
-using core::TiledLayout;
-using core::ZOrderLayout;
+using core::InterleavePattern;
+using sfcvis::test::make_layout;
+using sfcvis::test::Tiled8;
+using sfcvis::test::ZOrder;
+
+namespace {
+
+/// The layouts the "z-order" and "tiled" kinds allocate.
+GeneralizedMortonLayout zorder_layout(const Extents3D& e) { return GeneralizedMortonLayout(e); }
+GeneralizedMortonLayout tiled_layout(const Extents3D& e, std::uint32_t bx, std::uint32_t by,
+                                     std::uint32_t bz) {
+  return GeneralizedMortonLayout(e, InterleavePattern::tiled(e, bx, by, bz));
+}
+
+}  // namespace
 
 // ---------------------------------------------------------------------------
 // Typed bijectivity / bounds tests across all layout policies
@@ -27,20 +42,20 @@ using core::ZOrderLayout;
 template <class L>
 class LayoutTypedTest : public ::testing::Test {};
 
-using AllLayouts = ::testing::Types<ArrayOrderLayout, ZOrderLayout, TiledLayout,
-                                    HilbertLayout, GeneralizedMortonLayout>;
+using AllLayouts =
+    ::testing::Types<ArrayOrderLayout, ZOrder, Tiled8, HilbertLayout, GeneralizedMortonLayout>;
 TYPED_TEST_SUITE(LayoutTypedTest, AllLayouts);
 
 TYPED_TEST(LayoutTypedTest, InjectiveAndInBoundsOnCube) {
   const Extents3D e = Extents3D::cube(16);
-  const TypeParam layout(e);
+  const auto layout = make_layout<TypeParam>(e);
   std::vector<bool> seen(layout.required_capacity(), false);
   for (std::uint32_t k = 0; k < e.nz; ++k) {
     for (std::uint32_t j = 0; j < e.ny; ++j) {
       for (std::uint32_t i = 0; i < e.nx; ++i) {
         const std::size_t idx = layout.index(i, j, k);
         ASSERT_LT(idx, layout.required_capacity());
-        ASSERT_FALSE(seen[idx]) << TypeParam::name() << " collision at " << idx;
+        ASSERT_FALSE(seen[idx]) << layout.name() << " collision at " << idx;
         seen[idx] = true;
       }
     }
@@ -49,7 +64,7 @@ TYPED_TEST(LayoutTypedTest, InjectiveAndInBoundsOnCube) {
 
 TYPED_TEST(LayoutTypedTest, InjectiveOnAnisotropicExtents) {
   const Extents3D e{20, 7, 5};  // deliberately non-power-of-two
-  const TypeParam layout(e);
+  const auto layout = make_layout<TypeParam>(e);
   std::vector<bool> seen(layout.required_capacity(), false);
   for (std::uint32_t k = 0; k < e.nz; ++k) {
     for (std::uint32_t j = 0; j < e.ny; ++j) {
@@ -66,16 +81,16 @@ TYPED_TEST(LayoutTypedTest, InjectiveOnAnisotropicExtents) {
 TYPED_TEST(LayoutTypedTest, CapacityAtLeastLogicalSize) {
   for (const Extents3D e : {Extents3D{8, 8, 8}, Extents3D{5, 9, 3}, Extents3D{64, 32, 16},
                             Extents3D{1, 1, 1}, Extents3D{100, 1, 1}}) {
-    const TypeParam layout(e);
-    EXPECT_GE(layout.required_capacity(), e.size()) << TypeParam::name();
+    const auto layout = make_layout<TypeParam>(e);
+    EXPECT_GE(layout.required_capacity(), e.size()) << layout.name();
     EXPECT_EQ(layout.extents(), e);
   }
 }
 
 TYPED_TEST(LayoutTypedTest, RejectsZeroExtent) {
-  EXPECT_THROW(TypeParam(Extents3D{0, 4, 4}), std::invalid_argument);
-  EXPECT_THROW(TypeParam(Extents3D{4, 0, 4}), std::invalid_argument);
-  EXPECT_THROW(TypeParam(Extents3D{4, 4, 0}), std::invalid_argument);
+  EXPECT_THROW((void)make_layout<TypeParam>(Extents3D{0, 4, 4}), std::invalid_argument);
+  EXPECT_THROW((void)make_layout<TypeParam>(Extents3D{4, 0, 4}), std::invalid_argument);
+  EXPECT_THROW((void)make_layout<TypeParam>(Extents3D{4, 4, 0}), std::invalid_argument);
 }
 
 // ---------------------------------------------------------------------------
@@ -100,12 +115,12 @@ TEST(ArrayOrder, NoPaddingEver) {
 }
 
 // ---------------------------------------------------------------------------
-// Z order specifics
+// Z order specifics (the canonical pattern)
 // ---------------------------------------------------------------------------
 
 TEST(ZOrder, MatchesMortonOnPow2Cube) {
   const Extents3D e = Extents3D::cube(32);
-  const ZOrderLayout layout(e);
+  const GeneralizedMortonLayout layout = zorder_layout(e);
   for (std::uint32_t k = 0; k < e.nz; ++k) {
     for (std::uint32_t j = 0; j < e.ny; ++j) {
       for (std::uint32_t i = 0; i < e.nx; ++i) {
@@ -116,12 +131,12 @@ TEST(ZOrder, MatchesMortonOnPow2Cube) {
 }
 
 TEST(ZOrder, CubeCapacityEqualsSize) {
-  const ZOrderLayout layout(Extents3D::cube(64));
+  const GeneralizedMortonLayout layout = zorder_layout(Extents3D::cube(64));
   EXPECT_EQ(layout.required_capacity(), 64u * 64 * 64);
 }
 
 TEST(ZOrder, PadsNonPow2PerAxis) {
-  const ZOrderLayout layout(Extents3D{5, 9, 17});
+  const GeneralizedMortonLayout layout = zorder_layout(Extents3D{5, 9, 17});
   // Padded to 8 x 16 x 32.
   EXPECT_EQ(layout.required_capacity(), 8u * 16 * 32);
 }
@@ -130,7 +145,7 @@ TEST(ZOrder, AnisotropicIsCompactBijection) {
   // 32x8x2 padded extents: a full bijection onto [0, 512), i.e. the
   // anisotropic generator wastes nothing beyond pow2 padding.
   const Extents3D e{32, 8, 2};
-  const ZOrderLayout layout(e);
+  const GeneralizedMortonLayout layout = zorder_layout(e);
   ASSERT_EQ(layout.required_capacity(), e.size());
   std::vector<bool> seen(e.size(), false);
   for (std::uint32_t k = 0; k < e.nz; ++k) {
@@ -147,7 +162,7 @@ TEST(ZOrder, AnisotropicIsCompactBijection) {
 
 TEST(ZOrder, DecodeInvertsIndex) {
   const Extents3D e{16, 32, 8};
-  const ZOrderLayout layout(e);
+  const GeneralizedMortonLayout layout = zorder_layout(e);
   for (std::uint32_t k = 0; k < e.nz; ++k) {
     for (std::uint32_t j = 0; j < e.ny; ++j) {
       for (std::uint32_t i = 0; i < e.nx; ++i) {
@@ -161,13 +176,13 @@ TEST(ZOrder, DecodeInvertsIndex) {
 TEST(ZOrder, AdditionEqualsOrProperty) {
   // The per-axis deposited patterns are disjoint, so index() may combine
   // them with + (as the unified Indexer does) or with | interchangeably.
-  const core::ZOrderTables tables(Extents3D{16, 16, 16});
+  const GeneralizedMortonLayout layout = zorder_layout(Extents3D{16, 16, 16});
   for (std::uint32_t i = 0; i < 16; ++i) {
     for (std::uint32_t j = 0; j < 16; ++j) {
       for (std::uint32_t k = 0; k < 16; ++k) {
-        const auto xi = tables.index(i, 0, 0);
-        const auto yj = tables.index(0, j, 0);
-        const auto zk = tables.index(0, 0, k);
+        const auto xi = layout.index(i, 0, 0);
+        const auto yj = layout.index(0, j, 0);
+        const auto zk = layout.index(0, 0, k);
         ASSERT_EQ(xi + yj + zk, xi | yj | zk);
       }
     }
@@ -175,13 +190,14 @@ TEST(ZOrder, AdditionEqualsOrProperty) {
 }
 
 TEST(ZOrder, BitPositionsAreAPermutation) {
-  const core::ZOrderTables tables(Extents3D{16, 8, 4});  // 4+3+2 = 9 bits
+  const InterleavePattern pattern =
+      InterleavePattern::canonical(Extents3D{16, 8, 4});  // 4+3+2 = 9 bits
   std::vector<bool> used(9, false);
   const unsigned bits[3] = {4, 3, 2};
   for (unsigned axis = 0; axis < 3; ++axis) {
-    EXPECT_EQ(tables.axis_bits(axis), bits[axis]);
+    EXPECT_EQ(pattern.axis_bits(axis), bits[axis]);
     for (unsigned b = 0; b < bits[axis]; ++b) {
-      const unsigned pos = tables.bit_position(axis, b);
+      const unsigned pos = pattern.bit_position(axis, b);
       ASSERT_LT(pos, 9u);
       EXPECT_FALSE(used[pos]);
       used[pos] = true;
@@ -190,18 +206,18 @@ TEST(ZOrder, BitPositionsAreAPermutation) {
 }
 
 TEST(ZOrder, CopiesShareTables) {
-  const ZOrderLayout a(Extents3D::cube(32));
-  const ZOrderLayout b = a;  // cheap copy into per-thread kernel state
+  const GeneralizedMortonLayout a = zorder_layout(Extents3D::cube(32));
+  const GeneralizedMortonLayout b = a;  // cheap copy into per-thread kernel state
   EXPECT_EQ(&a.tables(), &b.tables());
   EXPECT_EQ(a.index(3, 5, 7), b.index(3, 5, 7));
 }
 
 // ---------------------------------------------------------------------------
-// Tiled layout specifics
+// Tiled specifics (the tiled pattern)
 // ---------------------------------------------------------------------------
 
 TEST(Tiled, IntraTileIsRowMajorContiguous) {
-  const TiledLayout layout(Extents3D::cube(32), 8);
+  const GeneralizedMortonLayout layout = tiled_layout(Extents3D::cube(32), 8, 8, 8);
   // Within the first tile, x-steps are unit strides.
   for (std::uint32_t i = 0; i + 1 < 8; ++i) {
     EXPECT_EQ(layout.index(i + 1, 0, 0), layout.index(i, 0, 0) + 1);
@@ -211,7 +227,7 @@ TEST(Tiled, IntraTileIsRowMajorContiguous) {
 }
 
 TEST(Tiled, TileVolumeIsContiguousBlock) {
-  const TiledLayout layout(Extents3D::cube(16), 4);
+  const GeneralizedMortonLayout layout = tiled_layout(Extents3D::cube(16), 4, 4, 4);
   // All 64 voxels of tile (0,0,0) occupy [0, 64).
   for (std::uint32_t k = 0; k < 4; ++k) {
     for (std::uint32_t j = 0; j < 4; ++j) {
@@ -223,23 +239,27 @@ TEST(Tiled, TileVolumeIsContiguousBlock) {
 }
 
 TEST(Tiled, RejectsNonPow2TileDims) {
-  EXPECT_THROW(TiledLayout(Extents3D::cube(16), 3, 4, 4), std::invalid_argument);
-  EXPECT_THROW(TiledLayout(Extents3D::cube(16), 4, 6, 4), std::invalid_argument);
-  EXPECT_THROW(TiledLayout(Extents3D::cube(16), 4, 4, 12), std::invalid_argument);
+  EXPECT_THROW((void)tiled_layout(Extents3D::cube(16), 3, 4, 4), std::invalid_argument);
+  EXPECT_THROW((void)tiled_layout(Extents3D::cube(16), 4, 6, 4), std::invalid_argument);
+  EXPECT_THROW((void)tiled_layout(Extents3D::cube(16), 4, 4, 12), std::invalid_argument);
 }
 
 TEST(Tiled, PadsPartialTiles) {
-  const TiledLayout layout(Extents3D{9, 9, 9}, 8);
-  // 2x2x2 tiles of 512 elements each.
+  const GeneralizedMortonLayout layout = tiled_layout(Extents3D{9, 9, 9}, 8, 8, 8);
+  // Each axis pads to 16: 2x2x2 tiles of 512 elements each.
   EXPECT_EQ(layout.required_capacity(), 8u * 512);
+  // Each axis pads to a power of two, as z-order does: 20x7x5 -> 32x8x8.
+  EXPECT_EQ(tiled_layout(Extents3D{20, 7, 5}, 8, 8, 8).required_capacity(), 32u * 8 * 8);
 }
 
 TEST(Tiled, AnisotropicTileDims) {
-  const TiledLayout layout(Extents3D{32, 32, 32}, 16, 4, 2);
-  EXPECT_EQ(layout.tile_x(), 16u);
-  EXPECT_EQ(layout.tile_y(), 4u);
-  EXPECT_EQ(layout.tile_z(), 2u);
+  const GeneralizedMortonLayout layout = tiled_layout(Extents3D{32, 32, 32}, 16, 4, 2);
   EXPECT_EQ(layout.required_capacity(), 32u * 32 * 32);
+  // One 16x4x2 tile holds 128 voxels; the tile grid is 2 x 8 x 16.
+  EXPECT_EQ(layout.index(15, 3, 1), 127u);
+  EXPECT_EQ(layout.index(16, 0, 0), 128u);
+  EXPECT_EQ(layout.index(0, 4, 0), 2u * 128);
+  EXPECT_EQ(layout.index(0, 0, 2), 2u * 8 * 128);
 }
 
 // ---------------------------------------------------------------------------
@@ -289,7 +309,7 @@ TEST(Locality, ZOrderBeatsArrayOrderOnYAndZSteps) {
   const std::uint32_t n = 32;
   const Extents3D e = Extents3D::cube(n);
   const ArrayOrderLayout a(e);
-  const ZOrderLayout z(e);
+  const GeneralizedMortonLayout z = zorder_layout(e);
   // Array order: every y- or z-step lands on a different cache line.
   // Z-order escapes a line on only half of those steps (at the price of
   // slightly more frequent escapes on x-steps).
@@ -311,7 +331,7 @@ TEST(Locality, ZOrderIsAxisSymmetricOnCubes) {
   // of 16; under Z-order (line = 2x2x4-element brick) it is 1/4 : 1/2, a
   // factor of 2.
   const std::uint32_t n = 32;
-  const ZOrderLayout z(Extents3D::cube(n));
+  const GeneralizedMortonLayout z = zorder_layout(Extents3D::cube(n));
   const double zx = crossing_fraction(z, 0, n, kLineElems);
   const double zy = crossing_fraction(z, 1, n, kLineElems);
   const double zz = crossing_fraction(z, 2, n, kLineElems);

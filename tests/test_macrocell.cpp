@@ -11,7 +11,6 @@
 #include "sfcvis/exec/execution_context.hpp"
 #include "sfcvis/core/grid.hpp"
 #include "sfcvis/core/morton.hpp"
-#include "sfcvis/core/zquery.hpp"
 #include "sfcvis/data/combustion.hpp"
 #include "sfcvis/memsim/platforms.hpp"
 #include "sfcvis/render/camera.hpp"
@@ -30,8 +29,8 @@ namespace trace = sfcvis::trace;
 
 using core::ArrayOrderLayout;
 using core::Extents3D;
+using core::GeneralizedMortonLayout;
 using core::Grid3D;
-using core::ZOrderLayout;
 using render::CellCoord;
 using render::Image;
 using render::MacrocellGrid;
@@ -95,6 +94,20 @@ void expect_grid_matches_brute(const Grid3D<float, L>& g, std::uint32_t block) {
         const ValueRange want = brute_range(g, block, cx, cy, cz);
         ASSERT_EQ(got.min, want.min) << "cell " << cx << "," << cy << "," << cz;
         ASSERT_EQ(got.max, want.max) << "cell " << cx << "," << cy << "," << cz;
+      }
+    }
+  }
+}
+
+/// Cell-by-cell equality of two macrocell grids.
+void expect_same_ranges(const MacrocellGrid& want, const MacrocellGrid& got) {
+  const auto& c = want.cell_extents();
+  ASSERT_EQ(c, got.cell_extents());
+  for (std::uint32_t cz = 0; cz < c.nz; ++cz) {
+    for (std::uint32_t cy = 0; cy < c.ny; ++cy) {
+      for (std::uint32_t cx = 0; cx < c.nx; ++cx) {
+        EXPECT_EQ(want.range(cx, cy, cz).min, got.range(cx, cy, cz).min);
+        EXPECT_EQ(want.range(cx, cy, cz).max, got.range(cx, cy, cz).max);
       }
     }
   }
@@ -175,33 +188,52 @@ TEST(Macrocell, MinMaxMatchesBruteForceArrayOrder) {
 }
 
 TEST(Macrocell, MinMaxMatchesBruteForceZOrderFastPath) {
-  Grid3D<float, ZOrderLayout> g(Extents3D{32, 32, 32});
+  Grid3D<float, GeneralizedMortonLayout> g(Extents3D{32, 32, 32});
   fill_noise(g, 4);
   expect_grid_matches_brute(g, 8);  // pow2 block: contiguous-run fast path
   expect_grid_matches_brute(g, 4);
 }
 
 TEST(Macrocell, MinMaxMatchesBruteForceZOrderGenericPath) {
-  Grid3D<float, ZOrderLayout> g(Extents3D{24, 20, 28});  // padded zorder extents
+  Grid3D<float, GeneralizedMortonLayout> g(Extents3D{24, 20, 28});  // padded zorder extents
   fill_noise(g, 5);
   expect_grid_matches_brute(g, 8);  // edge blocks exercise the fallback
   expect_grid_matches_brute(g, 3);  // non-pow2 block: generic path everywhere
 }
 
 TEST(Macrocell, ParallelBuildMatchesSerial) {
-  Grid3D<float, ZOrderLayout> g(Extents3D{32, 32, 32});
+  Grid3D<float, GeneralizedMortonLayout> g(Extents3D{32, 32, 32});
   fill_noise(g, 6);
   exec::ExecutionContext pool(4);
-  const MacrocellGrid serial = MacrocellGrid::build(g, 8);
-  const MacrocellGrid parallel = MacrocellGrid::build(g, 8, &pool);
-  const auto& c = serial.cell_extents();
-  for (std::uint32_t cz = 0; cz < c.nz; ++cz) {
-    for (std::uint32_t cy = 0; cy < c.ny; ++cy) {
-      for (std::uint32_t cx = 0; cx < c.nx; ++cx) {
-        EXPECT_EQ(serial.range(cx, cy, cz).min, parallel.range(cx, cy, cz).min);
-        EXPECT_EQ(serial.range(cx, cy, cz).max, parallel.range(cx, cy, cz).max);
-      }
-    }
+  expect_same_ranges(MacrocellGrid::build(g, 8), MacrocellGrid::build(g, 8, &pool));
+}
+
+TEST(Macrocell, LinearScanCoversEveryBlockContiguousPattern) {
+  // Whether a generalized-Morton volume takes the linear-scan build is a
+  // property of its pattern alone: canonical Z-order, tiles at least one
+  // block wide and tuned patterns whose low bits hold whole blocks do;
+  // smaller tiles and array order fall back. Every grid must equal the
+  // blocked-loop build of the same contents in array order.
+  const Extents3D e = Extents3D::cube(32);
+  Grid3D<float, ArrayOrderLayout> a(e);
+  fill_noise(a, 9);
+  const MacrocellGrid want = MacrocellGrid::build(a, 8);
+  const struct {
+    core::InterleavePattern pattern;
+    bool linear;
+  } cases[] = {
+      {core::InterleavePattern::canonical(e), true},
+      {core::InterleavePattern::tiled(e, 8, 8, 8), true},
+      {core::InterleavePattern("zzyyxxzyxzyxzyx", e), true},  // tuned-style
+      {core::InterleavePattern::tiled(e, 4, 4, 4), false},
+      {core::InterleavePattern::array_order(e), false},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.pattern.str());
+    EXPECT_EQ(c.pattern.blocks_contiguous(3), c.linear);
+    Grid3D<float, GeneralizedMortonLayout> g(GeneralizedMortonLayout(e, c.pattern));
+    g.copy_from(a);
+    expect_same_ranges(want, MacrocellGrid::build(g, 8));
   }
 }
 
@@ -233,9 +265,8 @@ TEST(Macrocell, ZorderBlocksContiguousMatchesStorage) {
   // The predicate must agree with the ground truth: enumerate the storage
   // indices of an aligned block and check they form a contiguous run.
   const auto check = [](const Extents3D& e, unsigned block_log2) {
-    Grid3D<float, ZOrderLayout> g(e);
-    const bool claim =
-        core::zorder_blocks_contiguous(g.layout().tables(), block_log2);
+    Grid3D<float, GeneralizedMortonLayout> g(e);
+    const bool claim = g.layout().pattern().blocks_contiguous(block_log2);
     const std::uint32_t b = 1u << block_log2;
     bool all_contiguous = true;
     for (std::uint32_t z0 = 0; z0 + b <= e.nz && all_contiguous; z0 += b) {
@@ -362,7 +393,7 @@ TEST(MacrocellRender, CompositeIdenticalArrayOrder) {
 }
 
 TEST(MacrocellRender, CompositeIdenticalZOrder) {
-  expect_accelerated_render_identical<ZOrderLayout>(RenderMode::kComposite, false);
+  expect_accelerated_render_identical<GeneralizedMortonLayout>(RenderMode::kComposite, false);
 }
 
 TEST(MacrocellRender, MipIdenticalArrayOrder) {
@@ -370,7 +401,7 @@ TEST(MacrocellRender, MipIdenticalArrayOrder) {
 }
 
 TEST(MacrocellRender, MipIdenticalZOrder) {
-  expect_accelerated_render_identical<ZOrderLayout>(RenderMode::kMip, false);
+  expect_accelerated_render_identical<GeneralizedMortonLayout>(RenderMode::kMip, false);
 }
 
 TEST(MacrocellRender, ShadedIdenticalArrayOrder) {
@@ -378,7 +409,7 @@ TEST(MacrocellRender, ShadedIdenticalArrayOrder) {
 }
 
 TEST(MacrocellRender, ShadedIdenticalZOrder) {
-  expect_accelerated_render_identical<ZOrderLayout>(RenderMode::kComposite, true);
+  expect_accelerated_render_identical<GeneralizedMortonLayout>(RenderMode::kComposite, true);
 }
 
 TEST(MacrocellRender, BlockSizesAgree) {
@@ -433,7 +464,7 @@ TEST(MacrocellRender, MipTakesSampleOnSpanShorterThanStep) {
 // ---------------------------------------------------------------------------
 
 TEST(MacrocellRender, TracedSkippingReducesAccessesImageIdentical) {
-  Grid3D<float, ZOrderLayout> volume(Extents3D{32, 32, 32});
+  Grid3D<float, GeneralizedMortonLayout> volume(Extents3D{32, 32, 32});
   data::fill_combustion(volume);
   const TransferFunction tf = TransferFunction::flame();
 

@@ -104,23 +104,28 @@ TEST(MakeVolume, CapacitiesMatchDirectLayouts) {
   EXPECT_EQ(core::make_volume(LayoutKind::kArray, e).capacity(),
             core::ArrayOrderLayout(e).required_capacity());
   EXPECT_EQ(core::make_volume(LayoutKind::kZOrder, e).capacity(),
-            core::ZOrderLayout(e).required_capacity());
+            core::GeneralizedMortonLayout(e).required_capacity());
   EXPECT_EQ(core::make_volume(LayoutKind::kHilbert, e).capacity(),
             core::HilbertLayout(e).required_capacity());
+  // Tiled pads each axis to a power of two, like z-order: 32x8x8.
   core::VolumeOpts opts;
   opts.tile = 4;
-  EXPECT_EQ(core::make_volume(LayoutKind::kTiled, e, opts).capacity(),
-            core::TiledLayout(e, 4).required_capacity());
+  EXPECT_EQ(core::make_volume(LayoutKind::kTiled, e, opts).capacity(), 32u * 8 * 8);
 }
 
 TEST(AnyVolume, VariantIndexMatchesKindEnum) {
-  // kind() is static_cast of the variant index; this ordering is the one
-  // invariant a facade refactor could silently break.
+  // kind() is recorded at make_volume time, not derived from the variant
+  // index: the three curve kinds share the generalized-Morton alternative.
   const Extents3D e = Extents3D::cube(4);
   EXPECT_EQ(core::make_volume(LayoutKind::kArray, e).kind(), LayoutKind::kArray);
   EXPECT_EQ(core::make_volume(LayoutKind::kZOrder, e).kind(), LayoutKind::kZOrder);
   EXPECT_EQ(core::make_volume(LayoutKind::kTiled, e).kind(), LayoutKind::kTiled);
   EXPECT_EQ(core::make_volume(LayoutKind::kHilbert, e).kind(), LayoutKind::kHilbert);
+  EXPECT_EQ(std::variant_size_v<AnyVolume::Variant>, 4u);
+  for (const auto kind : {LayoutKind::kZOrder, LayoutKind::kTiled, LayoutKind::kGMorton}) {
+    EXPECT_NO_THROW((void)core::make_volume(kind, e).as<core::GeneralizedMortonLayout>())
+        << core::to_string(kind);
+  }
 }
 
 TEST(AnyVolume, FillAndAtAgreeAcrossLayouts) {
@@ -141,9 +146,9 @@ TEST(AnyVolume, FillAndAtAgreeAcrossLayouts) {
 
 TEST(AnyVolume, AsReturnsConcreteGridOrThrows) {
   AnyVolume v = core::make_volume(LayoutKind::kZOrder, Extents3D::cube(8));
-  EXPECT_NO_THROW((void)v.as<core::ZOrderLayout>());
+  EXPECT_NO_THROW((void)v.as<core::GeneralizedMortonLayout>());
   EXPECT_THROW((void)v.as<core::ArrayOrderLayout>(), std::bad_variant_access);
-  auto& grid = v.as<core::ZOrderLayout>();
+  auto& grid = v.as<core::GeneralizedMortonLayout>();
   grid.at(1, 2, 3) = 7.0f;
   EXPECT_EQ(v.at(1, 2, 3), 7.0f);
 }

@@ -1,15 +1,16 @@
 #!/usr/bin/env bash
-# Layout-dispatch gate: the five concrete Grid3D<float, ...Layout>
-# instantiations may only be spelled inside src/sfcvis/core/ (the
-# AnyVolume facade — the single dispatch point) and tests/. Everything
-# else must go through core::AnyVolume / core::make_volume, or stay
-# templated over the layout.
+# Layout-dispatch gate: the three concrete Grid3D<float, ...Layout>
+# instantiations (array order, Hilbert, generalized Morton — z-order and
+# tiled are generalized-Morton patterns) may only be spelled inside
+# src/sfcvis/core/ (the AnyVolume facade — the single dispatch point) and
+# tests/. Everything else must go through core::AnyVolume /
+# core::make_volume, or stay templated over the layout.
 #
 # Usage: check_layout_gate.sh [repo-root]   (defaults to the script's repo)
 set -u
 
 root="${1:-$(cd "$(dirname "$0")/.." && pwd)}"
-pattern='Grid3D<float,[[:space:]]*(sfcvis::)?(core::)?(ArrayOrder|ZOrder|Tiled|Hilbert|GeneralizedMorton)Layout'
+pattern='Grid3D<float,[[:space:]]*(sfcvis::)?(core::)?(ArrayOrder|Hilbert|GeneralizedMorton)Layout'
 
 violations=$(grep -rnE "$pattern" \
   "$root/src" "$root/bench" "$root/examples" "$root/tools" 2>/dev/null \
