@@ -15,10 +15,12 @@
 // a plane as W gather_row calls through the same view. The separable
 // gather_row walks base + term(c0 + l), one load per voxel.
 //
-// Precondition for every gather: the whole row or plane lies inside the
-// grid's logical extents.
+// Preconditions: a row lies inside the grid's logical extents; a plane
+// window may overhang any face, its taps clamped to the edge per axis (on
+// a separable layout still term_x(clamp i) + term_y(clamp j) + term_z(clamp k)).
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <bit>
 #include <concepts>
@@ -184,20 +186,32 @@ void gather_row(const Grid3D<T, L>& g, Axis3 axis, std::uint32_t i, std::uint32_
 // Stencil-plane gathers
 // ---------------------------------------------------------------------------
 
+/// Signed voxel coordinate (i, j, k): a window tap may lie outside the grid.
+using SignedCoord3D = std::array<std::int64_t, 3>;
+
+/// Clamp-to-edge on one axis of extent n: the coordinate in [0, n - 1].
+[[nodiscard]] inline std::uint32_t clamp_to_edge(std::int64_t c, std::uint32_t n) noexcept {
+  return static_cast<std::uint32_t>(std::clamp<std::int64_t>(c, 0, std::int64_t{n} - 1));
+}
+
+/// Clamp-to-edge on every axis: the grid voxel nearest to `c`.
+[[nodiscard]] inline Coord3D clamp_to_edge(const SignedCoord3D& c, const Extents3D& e) noexcept {
+  return {clamp_to_edge(c[0], e.nx), clamp_to_edge(c[1], e.ny), clamp_to_edge(c[2], e.nz)};
+}
+
 /// A W×W stencil plane sliding along one pencil: the per-worker state of
 /// gather_plane. Tap [du * W + dv] of the plane at pencil position s is
 /// the voxel at pencil coordinate s, origin + du on the outer axis and
-/// origin + dv on the row axis — the kernels' orientation: x-pencils take
-/// rows along z (outer y), y-pencils along x (outer z), z-pencils along x
-/// (outer y).
+/// origin + dv on the row axis, each clamped to the grid — the kernels'
+/// orientation: x-pencils take rows along z (outer y), y-pencils along x
+/// (outer z), z-pencils along x (outer y).
 struct PlaneWindow {
   /// Aims the window at a pencil of `view` (`origin`'s pencil coordinate is
   /// ignored). On a separable in-core view this fills offsets[q] = index of
-  /// tap q at pencil position 0, in reused storage, and the runs of one
-  /// plane split at row ends, as W row gathers would see them; every plane
-  /// adds the same term(s) to all offsets, so the runs hold for all.
+  /// clamped tap q at pencil position 0, in reused storage, and the runs of
+  /// one plane; every plane adds the same term(s) to all offsets.
   template <class View>
-  void bind(const View& view, Axis3 pencil_axis, const Coord3D& origin_voxel,
+  void bind(const View& view, Axis3 pencil_axis, const SignedCoord3D& origin_voxel,
             std::uint32_t w) {
     pencil = pencil_axis;
     row = pencil_axis == Axis3::kX ? Axis3::kZ : Axis3::kX;
@@ -209,7 +223,7 @@ struct PlaneWindow {
       for (std::uint32_t du = 0; du < w; ++du) {
         std::size_t* row_off = offsets.data() + static_cast<std::size_t>(du) * w;
         for (std::uint32_t dv = 0; dv < w; ++dv) {
-          const Coord3D c = voxel(0, du, dv);
+          const Coord3D c = clamp_to_edge(voxel(0, du, dv), view.extents());
           row_off[dv] = view.grid().layout().index(c.i, c.j, c.k);
         }
         plane_runs.note_index_runs(w, [row_off](std::uint32_t l) { return row_off[l]; });
@@ -217,38 +231,43 @@ struct PlaneWindow {
     }
   }
 
-  /// Coordinates of tap (du, dv) of the plane at pencil position s; the
-  /// outer axis is the one neither the pencil nor the rows run along.
-  [[nodiscard]] Coord3D voxel(std::uint32_t s, std::uint32_t du, std::uint32_t dv) const noexcept {
+  /// Unclamped coordinates of tap (du, dv) of the plane at pencil position
+  /// s; the outer axis is the one neither the pencil nor the rows run along.
+  [[nodiscard]] SignedCoord3D voxel(std::int64_t s, std::uint32_t du,
+                                    std::uint32_t dv) const noexcept {
     const auto p = static_cast<unsigned>(pencil);
     const auto r = static_cast<unsigned>(row);
-    std::uint32_t c[3] = {origin.i, origin.j, origin.k};
+    SignedCoord3D c = origin;
     c[p] = s;
     c[3 - p - r] += du;
     c[r] += dv;
-    return {c[0], c[1], c[2]};
+    return c;
   }
 
   Axis3 pencil = Axis3::kX;
   Axis3 row = Axis3::kZ;
-  Coord3D origin{};
+  SignedCoord3D origin{};
   std::uint32_t width = 0;
-  std::vector<std::size_t> offsets;  ///< W² tap offsets at pencil position 0
+  std::vector<std::size_t> offsets;  ///< W² clamped tap offsets at pencil position 0
   GatherRunStats plane_runs;         ///< run stats of one plane
 };
 
-/// Gathers the window's plane at pencil position `s` into `out` (W² values)
-/// through the view the window was bound with: one load per tap from the
-/// offset table on a separable in-core view, W gather_row calls through the
-/// same view otherwise (Hilbert; BrickedView, keeping its per-worker pins).
-/// `rs` receives the plane's contiguous runs.
+/// Gathers the window's plane at pencil position `s` (clamped like every
+/// tap) into `out` (W² values) through the view the window was bound with:
+/// one load per tap from the offset table on a separable in-core view,
+/// otherwise (Hilbert; BrickedView, keeping its per-worker pins) one
+/// gather_row per row over its in-grid span plus edge copies into the
+/// overhang. `rs` receives the plane's runs; an overhanging tap is a run of 1.
 template <class View, class T>
-void gather_plane(const View& view, PlaneWindow& win, std::uint32_t s, T* out,
+void gather_plane(const View& view, PlaneWindow& win, std::int64_t s, T* out,
                   GatherRunStats* rs = nullptr) {
   const std::uint32_t W = win.width;
+  const Extents3D& e = view.extents();
+  const std::uint32_t dims[3] = {e.nx, e.ny, e.nz};
   if constexpr (SeparableGridView<View>) {
     const auto& grid = view.grid();
-    const T* base = grid.data() + axis_term(grid.layout(), win.pencil, s);
+    const std::uint32_t ps = clamp_to_edge(s, dims[static_cast<unsigned>(win.pencil)]);
+    const T* base = grid.data() + axis_term(grid.layout(), win.pencil, ps);
     const std::size_t* off = win.offsets.data();
     for (std::uint32_t q = 0; q < W * W; ++q) {
       out[q] = base[off[q]];
@@ -257,9 +276,22 @@ void gather_plane(const View& view, PlaneWindow& win, std::uint32_t s, T* out,
       rs->merge(win.plane_runs);
     }
   } else {
+    // Every row reads its span inside the grid, [lo, lo + span), into
+    // out + at; a window wholly past one face reads the edge voxel alone.
+    const auto r = static_cast<unsigned>(win.row);
+    const std::uint32_t lo = clamp_to_edge(win.origin[r], dims[r]);
+    const std::uint32_t span = clamp_to_edge(win.origin[r] + W - 1, dims[r]) - lo + 1;
+    const auto at =
+        static_cast<std::uint32_t>(std::clamp<std::int64_t>(lo - win.origin[r], 0, W - 1));
     for (std::uint32_t du = 0; du < W; ++du) {
-      const Coord3D c = win.voxel(s, du, 0);
-      gather_row(view, win.row, c.i, c.j, c.k, W, out + du * W, rs);
+      const Coord3D c = clamp_to_edge(win.voxel(s, du, at), e);
+      T* row_out = out + du * W;
+      gather_row(view, win.row, c.i, c.j, c.k, span, row_out + at, rs);
+      std::fill(row_out, row_out + at, row_out[at]);
+      std::fill(row_out + at + span, row_out + W, row_out[at + span - 1]);
+    }
+    if (rs != nullptr && span < W) {
+      rs->note_runs(static_cast<std::uint64_t>(W) * (W - span), 1);
     }
   }
 }

@@ -328,7 +328,7 @@ struct BilateralGatherScratch {
 
   std::uint32_t width = 0;       ///< W = 2r + 1
   std::uint32_t plane_size = 0;  ///< W * W
-  std::vector<float> ring;   ///< W planes of W*W samples, slot = s % W
+  std::vector<float> ring;   ///< W planes of W*W samples, slot = (s + r) % W
   std::vector<float> wperm;  ///< spatial weights permuted to [dp][du][dv]
   core::PlaneWindow window;  ///< the pencil's W^2 plane offsets
   /// Contiguous-run accounting of the plane gathers, merged into the
@@ -368,8 +368,8 @@ inline void fold_gather_run_stats(core::GatherRunStats& rs) {
 /// otherwise the vector fast_exp_neg (lane-exact twin of the scalar one).
 template <bool kLut>
 [[nodiscard]] inline std::pair<float, float> simd_tap_planes(
-    const float* ring, const float* wperm, std::uint32_t t, std::uint32_t r,
-    std::uint32_t W, std::uint32_t plane_sz, float center, float inv2sr2,
+    const float* ring, const float* wperm, std::uint32_t t, std::uint32_t W,
+    std::uint32_t plane_sz, float center, float inv2sr2,
     const BilateralWeights& weights) {
   constexpr int N = simd::kNativeLanes;
   using VF = simd::vfloat<N>;
@@ -399,7 +399,7 @@ template <bool kLut>
     v_norm = v_norm + w;
   };
   for (std::uint32_t dpi = 0; dpi < W; ++dpi) {
-    const float* plane = ring + ((t - r + dpi) % W) * plane_sz;
+    const float* plane = ring + (t + dpi) % W * plane_sz;
     const float* wplane = wperm + dpi * plane_sz;
     std::uint32_t q = 0;
     for (; q + N <= plane_sz; q += N) {
@@ -415,15 +415,15 @@ template <bool kLut>
 
 }  // namespace detail
 
-/// Gather-based bilateral_pencil. Interior voxels of interior pencils take
-/// the ring-buffer fast path; border voxels (and whole pencils too short
-/// or too close to a face for a full stencil) fall back to the clamped
-/// per-voxel kernel. Tap order is plane-major ([dp][du][dv]); with
-/// params.fast_exp and params.use_range_lut both off the arithmetic per
-/// tap matches the exact kernels', so output is bit-identical to
-/// bilateral_reference for (pz, xyz) and to bilateral_voxel's zyx order
-/// for (px, zyx); other configurations differ only by float reassociation
-/// of the tap sum (well under the 1e-5 test tolerance).
+/// Gather-based bilateral_pencil: the ring is primed with planes -r … r-1
+/// and advanced one plane per voxel, and plane windows clamp to the edge
+/// (core::gather_plane) as bilateral_voxel does, so border voxels take the
+/// same path. Tap order is plane-major ([dp][du][dv]); with params.fast_exp
+/// and params.use_range_lut both off the per-tap arithmetic matches the
+/// exact kernels', so output is bit-identical to bilateral_reference for
+/// (pz, xyz) and to bilateral_voxel's zyx order for (px, zyx); other
+/// configurations differ only by float reassociation of the tap sum (well
+/// under the 1e-5 test tolerance).
 template <core::VolumeBackend VolT>
 void bilateral_pencil_gather(const VolT& src, core::ArrayVolume& dst,
                              const BilateralWeights& weights,
@@ -432,35 +432,15 @@ void bilateral_pencil_gather(const VolT& src, core::ArrayVolume& dst,
   const auto& e = src.extents();
   const PencilCoords pc = pencil_coords(e, params.pencil, pencil);
   const std::uint32_t len = pencil_length(e, params.pencil);
-  const std::uint32_t r = weights.radius();
+  const auto r = static_cast<std::int64_t>(weights.radius());
   const std::uint32_t W = scratch.width;
   const std::uint32_t plane_sz = scratch.plane_size;
   const auto view = core::make_read_view(src);
-
-  std::uint32_t na = 0, nb = 0;
-  switch (params.pencil) {
-    case PencilAxis::kX: na = e.ny; nb = e.nz; break;
-    case PencilAxis::kY: na = e.nx; nb = e.nz; break;
-    case PencilAxis::kZ: na = e.nx; nb = e.ny; break;
-  }
-  const bool fixed_interior = pc.a >= r && pc.a + r < na && pc.b >= r && pc.b + r < nb;
-  if (!fixed_interior || len <= 2 * r) {
-    bilateral_pencil(view, dst, weights, params, pencil);
-    return;
-  }
 
   const core::Coord3D v0 = pencil_voxel(params.pencil, pc, 0);
   const std::uint32_t di = params.pencil == PencilAxis::kX ? 1u : 0u;
   const std::uint32_t dj = params.pencil == PencilAxis::kY ? 1u : 0u;
   const std::uint32_t dk = params.pencil == PencilAxis::kZ ? 1u : 0u;
-  const auto clamped_run = [&](std::uint32_t t0, std::uint32_t t1) {
-    for (std::uint32_t t = t0; t < t1; ++t) {
-      const core::Coord3D v{v0.i + t * di, v0.j + t * dj, v0.k + t * dk};
-      dst.at(v.i, v.j, v.k) =
-          bilateral_voxel(view, v.i, v.j, v.k, weights, params.sigma_range, params.order);
-    }
-  };
-  clamped_run(0, r);
 
   core::GatherRunStats* rs = scratch.collect_run_stats ? &scratch.run_stats : nullptr;
   float* const ring = scratch.ring.data();
@@ -468,8 +448,8 @@ void bilateral_pencil_gather(const VolT& src, core::ArrayVolume& dst,
   // the pencil's first voxel moved back by r on both off-pencil axes.
   scratch.window.bind(view, static_cast<core::Axis3>(params.pencil),
                       {v0.i - r * (1 - di), v0.j - r * (1 - dj), v0.k - r * (1 - dk)}, W);
-  for (std::uint32_t s = 0; s < 2 * r; ++s) {
-    core::gather_plane(view, scratch.window, s, ring + (s % W) * plane_sz, rs);
+  for (std::int64_t s = -r; s < r; ++s) {
+    core::gather_plane(view, scratch.window, s, ring + (s + r) % W * plane_sz, rs);
   }
 
   const float inv2sr2 = 1.0f / (2.0f * params.sigma_range * params.sigma_range);
@@ -479,16 +459,16 @@ void bilateral_pencil_gather(const VolT& src, core::ArrayVolume& dst,
   // bit-identity contract needs the scalar tap order below.
   const bool simd_taps = params.simd_taps && (fast || lut);
   const float* wperm = scratch.wperm.data();
-  for (std::uint32_t t = r; t < len - r; ++t) {
-    core::gather_plane(view, scratch.window, t + r, ring + ((t + r) % W) * plane_sz, rs);
-    const float center = ring[(t % W) * plane_sz + r * W + r];
+  for (std::uint32_t t = 0; t < len; ++t) {
+    core::gather_plane(view, scratch.window, t + r, ring + (t + 2 * r) % W * plane_sz, rs);
+    const float center = ring[(t + r) % W * plane_sz + r * W + r];
+    const core::Coord3D v{v0.i + t * di, v0.j + t * dj, v0.k + t * dk};
     if (simd_taps) {
       const auto [sum, norm] =
-          lut ? detail::simd_tap_planes<true>(ring, wperm, t, r, W, plane_sz,
-                                              center, inv2sr2, weights)
-              : detail::simd_tap_planes<false>(ring, wperm, t, r, W, plane_sz,
-                                               center, inv2sr2, weights);
-      const core::Coord3D v{v0.i + t * di, v0.j + t * dj, v0.k + t * dk};
+          lut ? detail::simd_tap_planes<true>(ring, wperm, t, W, plane_sz, center, inv2sr2,
+                                              weights)
+              : detail::simd_tap_planes<false>(ring, wperm, t, W, plane_sz, center, inv2sr2,
+                                               weights);
       dst.at(v.i, v.j, v.k) = sum / norm;
       continue;
     }
@@ -498,7 +478,7 @@ void bilateral_pencil_gather(const VolT& src, core::ArrayVolume& dst,
     // both contiguous, so [du][dv] collapses to plane_sz iterations — same
     // tap order (bit-identity preserved), ~W times fewer vector epilogues.
     for (std::uint32_t dpi = 0; dpi < W; ++dpi) {
-      const float* plane = ring + ((t - r + dpi) % W) * plane_sz;
+      const float* plane = ring + (t + dpi) % W * plane_sz;
       const float* wplane = wperm + dpi * plane_sz;
       if (fast) {
 #pragma omp simd reduction(+ : sum, norm)
@@ -526,10 +506,8 @@ void bilateral_pencil_gather(const VolT& src, core::ArrayVolume& dst,
         }
       }
     }
-    const core::Coord3D v{v0.i + t * di, v0.j + t * dj, v0.k + t * dk};
     dst.at(v.i, v.j, v.k) = sum / norm;
   }
-  clamped_run(len - r, len);
   if (rs != nullptr) {
     detail::fold_gather_run_stats(*rs);
   }

@@ -72,19 +72,19 @@ struct GaussianGatherScratch {
   }
   std::uint32_t width = 0;       ///< W = 2r + 1
   std::uint32_t plane_size = 0;  ///< W * W
-  std::vector<float> ring;       ///< W planes of W*W samples, slot = s % W
+  std::vector<float> ring;       ///< W planes of W*W samples, slot = (s + r) % W
   std::vector<float> wperm;      ///< pre-multiplied 3D tap weights
   core::PlaneWindow window;      ///< the pencil's W^2 plane offsets
 };
 
-/// Gather-based convolution of one x-pencil: interior voxels run an
+/// Gather-based convolution of one x-pencil: every voxel runs an
 /// explicit-SIMD multiply-accumulate over the ring planes (core/simd.hpp,
 /// masked tails contribute exactly +0 because the weight slice reads 0);
-/// border voxels — and whole pencils without a full (y, z) stencil — fall
-/// back to the clamped gaussian_voxel. Differs from the direct path only
-/// by float reassociation of the tap sum and of the precomputed weight
-/// products (well inside the kernels' 1e-5 test tolerance); the per-pencil
-/// result does not depend on the source layout.
+/// plane windows clamp to the edge as gaussian_voxel does, so border voxels
+/// take the same path. Differs from the direct path only by float
+/// reassociation of the tap sum and of the precomputed weight products
+/// (well inside the kernels' 1e-5 test tolerance); the per-pencil result
+/// does not depend on the source layout.
 template <core::VolumeBackend VolT>
 void gaussian_pencil_gather(const VolT& src, core::ArrayVolume& dst,
                             const std::vector<float>& taps, std::size_t p,
@@ -93,31 +93,22 @@ void gaussian_pencil_gather(const VolT& src, core::ArrayVolume& dst,
   const auto j = static_cast<std::uint32_t>(p % e.ny);
   const auto k = static_cast<std::uint32_t>(p / e.ny);
   const auto view = core::make_read_view(src);
-  const auto r = static_cast<std::uint32_t>(taps.size() / 2);
+  const auto r = static_cast<std::int64_t>(taps.size() / 2);
   const std::uint32_t W = scratch.width;
   const std::uint32_t plane_sz = scratch.plane_size;
-  if (j < r || j + r >= e.ny || k < r || k + r >= e.nz || e.nx <= 2 * r) {
-    for (std::uint32_t i = 0; i < e.nx; ++i) {
-      dst.at(i, j, k) = gaussian_voxel(view, i, j, k, taps);
-    }
-    return;
-  }
-  for (std::uint32_t i = 0; i < r; ++i) {
-    dst.at(i, j, k) = gaussian_voxel(view, i, j, k, taps);
-  }
   float* const ring = scratch.ring.data();
   scratch.window.bind(view, core::Axis3::kX, {0, j - r, k - r}, W);
-  for (std::uint32_t s = 0; s < 2 * r; ++s) {
-    core::gather_plane(view, scratch.window, s, ring + (s % W) * plane_sz);
+  for (std::int64_t s = -r; s < r; ++s) {
+    core::gather_plane(view, scratch.window, s, ring + (s + r) % W * plane_sz);
   }
   constexpr int N = simd::kNativeLanes;
   using VF = simd::vfloat<N>;
   const float* wperm = scratch.wperm.data();
-  for (std::uint32_t t = r; t < e.nx - r; ++t) {
-    core::gather_plane(view, scratch.window, t + r, ring + ((t + r) % W) * plane_sz);
+  for (std::uint32_t t = 0; t < e.nx; ++t) {
+    core::gather_plane(view, scratch.window, t + r, ring + (t + 2 * r) % W * plane_sz);
     VF v_sum = VF::zero();
     for (std::uint32_t dpi = 0; dpi < W; ++dpi) {
-      const float* plane = ring + ((t - r + dpi) % W) * plane_sz;
+      const float* plane = ring + (t + dpi) % W * plane_sz;
       const float* wplane = wperm + dpi * plane_sz;
       std::uint32_t q = 0;
       for (; q + N <= plane_sz; q += N) {
@@ -130,9 +121,6 @@ void gaussian_pencil_gather(const VolT& src, core::ArrayVolume& dst,
       }
     }
     dst.at(t, j, k) = simd::reduce_add(v_sum);
-  }
-  for (std::uint32_t i = e.nx - r; i < e.nx; ++i) {
-    dst.at(i, j, k) = gaussian_voxel(view, i, j, k, taps);
   }
 }
 

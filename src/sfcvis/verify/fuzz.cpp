@@ -221,7 +221,8 @@ VolumeSet make_volumes(const Extents3D& e, std::uint64_t content_seed, unsigned 
 // gather_row and gather_plane spot checks
 // ---------------------------------------------------------------------------
 
-/// Records one check: out[t] must equal grid.at(voxel(t)) bit for bit.
+/// Records one check: out[t] must equal grid.at_clamped(voxel(t)) bit for
+/// bit; a divergence reports the grid voxel that was read.
 template <class VolT, class VoxelFn>
 void check_gathered(FuzzSummary& summary, const VolT& grid, const std::vector<float>& out,
                     const std::string& ctx, VoxelFn voxel) {
@@ -229,19 +230,23 @@ void check_gathered(FuzzSummary& summary, const VolT& grid, const std::vector<fl
                       out.size(), Tolerance::bit_identical(), ctx,
                       [&](std::uint64_t t) {
                         const auto [i, j, k] = voxel(t);
-                        return std::pair<float, float>(grid.at(i, j, k), out[t]);
+                        return std::pair<float, float>(grid.at_clamped(i, j, k), out[t]);
                       },
-                      voxel));
+                      [&](std::uint64_t t) {
+                        const auto [i, j, k] = voxel(t);
+                        return core::clamp_to_edge(core::SignedCoord3D{i, j, k}, grid.extents());
+                      }));
 }
 
 /// Checks a few random gather_row calls (random axis, start, length —
 /// including starts inside blocks and runs crossing block boundaries) and
-/// gather_plane calls against a plain at() walk. gather_plane loads
-/// separable layouts through its offset table and falls back to gather_row
-/// on Hilbert and bricked volumes, so misbehaviour of either shows up here
-/// before it smears into a whole filtered volume. Every row and plane goes
-/// through one long-lived read view, as in the kernels, and a final sweep
-/// gathers the whole volume row by row
+/// gather_plane calls against a plain at_clamped() walk. gather_plane
+/// loads separable layouts through its clamped offset table and gathers
+/// the in-grid part of each row through gather_row on Hilbert and bricked
+/// volumes, so misbehaviour of either shows up here before it smears into
+/// a whole filtered volume. Every row and plane goes through one
+/// long-lived read view, as in the kernels, and a final sweep gathers the
+/// whole volume row by row
 /// along a random axis (one check). On the bricked mirror (usually a stream
 /// cache smaller than the file) pins then carry over between rows, and the
 /// sweep visits every brick, so the view's pin ring replaces entries
@@ -280,37 +285,40 @@ void spot_check_gather(FuzzSummary& summary, const VolT& grid, const char* backe
     });
   }
 
-  // Planes: a random pencil axis, W from {3, 5, 7} (shrunk to fit thin
-  // volumes), each off-pencil origin on the low face, the high face or
-  // between, two planes per window, one window for all calls.
+  // Planes: a random pencil axis, W from {3, 5, 7} (also on volumes
+  // thinner than W), each off-pencil origin overhanging the low face (down
+  // to wholly below it), inside the grid (faces included) or overhanging
+  // the far face (up to wholly past it), and two planes per window at
+  // s in [-r, n - 1 + r], one window for all calls.
   static constexpr std::uint32_t kWidths[] = {3, 5, 7};
   core::PlaneWindow win;
   std::vector<float> out;
   for (unsigned rep = 0; rep < 2; ++rep) {
     const auto pencil = static_cast<core::Axis3>(rng.below(3));
     const auto p = static_cast<unsigned>(pencil);
-    const unsigned u = (p + 1) % 3;
-    const unsigned w = (p + 2) % 3;
-    const std::uint32_t W = std::min({rng.pick(kWidths), dims[u], dims[w]});
-    std::uint32_t o[3] = {0, 0, 0};
-    for (const unsigned a : {u, w}) {
-      const std::uint32_t room = dims[a] - W;
-      const auto face = rng.below(3);
-      o[a] = face == 0 ? 0 : face == 1 ? room : static_cast<std::uint32_t>(rng.below(room + 1));
+    const std::uint32_t W = rng.pick(kWidths);
+    const std::int64_t r = W / 2;
+    core::SignedCoord3D o{0, 0, 0};
+    for (const unsigned a : {(p + 1) % 3, (p + 2) % 3}) {
+      const std::int64_t room = std::int64_t{dims[a]} - W;
+      const auto overhang = static_cast<std::int64_t>(rng.range(1, W));
+      switch (rng.below(3)) {
+        case 0: o[a] = -overhang; break;
+        case 1: o[a] = room + overhang; break;
+        default: o[a] = static_cast<std::int64_t>(rng.below(std::max<std::int64_t>(room, 0) + 1));
+      }
     }
-    win.bind(view, pencil, {o[0], o[1], o[2]}, W);
+    win.bind(view, pencil, o, W);
     out.resize(static_cast<std::size_t>(W) * W);
     for (unsigned plane = 0; plane < 2; ++plane) {
-      const auto s = static_cast<std::uint32_t>(rng.below(dims[p]));
+      const std::int64_t s = static_cast<std::int64_t>(rng.below(dims[p] + 2 * r)) - r;
       std::fill(out.begin(), out.end(), -1.0f);
       core::gather_plane(view, win, s, out.data());
       std::ostringstream ctx;
       ctx << "gather_plane [" << backend_name << "] pencil=" << p << " W=" << W
           << " origin=(" << o[0] << "," << o[1] << "," << o[2] << ") s=" << s;
       check_gathered(summary, grid, out, ctx.str(), [&](std::uint64_t q) {
-        const core::Coord3D c = win.voxel(s, static_cast<std::uint32_t>(q / W),
-                                          static_cast<std::uint32_t>(q % W));
-        return std::tuple<std::uint32_t, std::uint32_t, std::uint32_t>(c.i, c.j, c.k);
+        return win.voxel(s, static_cast<std::uint32_t>(q / W), static_cast<std::uint32_t>(q % W));
       });
     }
   }

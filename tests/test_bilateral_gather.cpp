@@ -1,9 +1,12 @@
 // Tests for the bilateral filter's sliding-window gather fast path
 // (filters/bilateral.hpp: BilateralParams::use_gather) and its supporting
 // pieces: fast_exp_neg, the quantized photometric LUT, and the degenerate
-// volume shapes where every driver must fall back to the clamped kernel.
+// volume shapes (unit axes, pencils no longer than the stencil, radius at
+// least the extent), which the gather path runs through the same clamped
+// plane windows as every other pencil.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -182,37 +185,38 @@ TEST(RangeLut, ParamsCtorMatchesSpatialTable) {
 
 namespace {
 
-/// Runs of the W row gathers behind every plane a gather pass loads: all
-/// planes s in [0, len) of every pencil whose stencil fits inside the
-/// volume, rows in the kernel's orientation (x-pencils along z, y- and
-/// z-pencils along x).
+/// Runs of the W clamped rows behind every plane a gather pass loads: all
+/// planes s in [-r, len + r) of every pencil, rows in the kernel's
+/// orientation (x-pencils along z, y- and z-pencils along x), each the
+/// maximal runs of consecutive storage indices of its W voxels, every
+/// coordinate clamped to the volume.
 template <class GridT>
 core::GatherRunStats expected_pass_runs(const GridT& g, PencilAxis pencil, std::uint32_t r) {
   const Extents3D& e = g.extents();
-  const std::uint32_t W = 2 * r + 1;
-  const std::uint32_t len = filters::pencil_length(e, pencil);
-  const std::uint32_t na = pencil == PencilAxis::kX ? e.ny : e.nx;
-  const std::uint32_t nb = pencil == PencilAxis::kZ ? e.ny : e.nz;
+  const auto W = static_cast<std::int64_t>(2 * r + 1);
+  const auto sr = static_cast<std::int64_t>(r);
+  const std::int64_t len = filters::pencil_length(e, pencil);
+  const auto clamp = [](std::int64_t c, std::uint32_t n) {
+    return static_cast<std::uint32_t>(std::clamp<std::int64_t>(c, 0, std::int64_t{n} - 1));
+  };
   core::GatherRunStats rs;
-  std::vector<float> row(W);
   for (std::size_t p = 0; p < filters::pencil_count(e, pencil); ++p) {
     const filters::PencilCoords pc = filters::pencil_coords(e, pencil, p);
-    if (pc.a < r || pc.a + r >= na || pc.b < r || pc.b + r >= nb || len <= 2 * r) {
-      continue;
-    }
-    for (std::uint32_t s = 0; s < len; ++s) {
-      for (std::uint32_t du = 0; du < W; ++du) {
-        switch (pencil) {
-          case PencilAxis::kX:
-            core::gather_row(g, core::Axis3::kZ, s, pc.a - r + du, pc.b - r, W, row.data(), &rs);
-            break;
-          case PencilAxis::kY:
-            core::gather_row(g, core::Axis3::kX, pc.a - r, s, pc.b - r + du, W, row.data(), &rs);
-            break;
-          case PencilAxis::kZ:
-            core::gather_row(g, core::Axis3::kX, pc.a - r, pc.b - r + du, s, W, row.data(), &rs);
-            break;
-        }
+    for (std::int64_t s = -sr; s < len + sr; ++s) {
+      for (std::int64_t du = -sr; du <= sr; ++du) {
+        rs.note_index_runs(static_cast<std::uint32_t>(W), [&](std::uint32_t l) {
+          const std::int64_t dv = std::int64_t{l} - sr;
+          std::int64_t c[3] = {pc.a + dv, pc.b + du, s};  // z: rows along x, outer y
+          if (pencil == PencilAxis::kX) {  // rows along z, outer y
+            c[0] = s;
+            c[1] = pc.a + du;
+            c[2] = pc.b + dv;
+          } else if (pencil == PencilAxis::kY) {  // rows along x, outer z
+            c[1] = s;
+            c[2] = pc.b + du;
+          }
+          return g.layout().index(clamp(c[0], e.nx), clamp(c[1], e.ny), clamp(c[2], e.nz));
+        });
       }
     }
   }
@@ -226,7 +230,8 @@ TEST(BilateralGather, TracedRunStatsEqualTheRowGathersOfThePass) {
   GTEST_SKIP() << "span macros compiled out (SFCVIS_TRACE=OFF)";
 #endif
   // Plane gathers account each pencil's runs once and add them per plane;
-  // the totals of a traced pass must equal W row gathers per plane.
+  // the totals of a traced pass must equal W clamped rows per plane, on
+  // every pencil (border pencils included).
   const Extents3D e{20, 17, 13};
   Grid3D<float, ArrayOrderLayout> src(e);
   fill_noisy_step(src);
@@ -493,8 +498,9 @@ TEST(BilateralDegenerate, UnitExtentAxes) {
 }
 
 TEST(BilateralDegenerate, PencilNoLongerThanStencil) {
-  // len == 2r and len == 2r + 1: the gather path must fall back (it needs
-  // len > 2r) and still match.
+  // len == 2r and len == 2r + 1: every voxel of such a pencil is a border
+  // voxel, so the gather path reads only clamped planes and must still
+  // match.
   check_degenerate(Extents3D::cube(4), 2);
   check_degenerate(Extents3D::cube(5), 2);
 }

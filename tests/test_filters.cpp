@@ -374,8 +374,8 @@ TEST(Gaussian, SeparableMatchesDense) {
 TEST(Gaussian, GatherSimdMatchesDirect) {
   // The sliding-window gather + explicit-SIMD path reassociates the tap
   // sum and pre-multiplies the weight cube; output must stay within the
-  // kernels' 1e-5 tolerance of the direct path on every layout, and border
-  // voxels (which fall back to the clamped kernel) must match exactly.
+  // kernels' 1e-5 tolerance of the direct path on every layout, border
+  // voxels (clamped plane windows) included.
   const Extents3D e{17, 11, 13};
   Grid3D<float, ArrayOrderLayout> src(e), direct(e), gathered(e), gathered_z(e);
   fill_noisy_step(src);
@@ -392,13 +392,6 @@ TEST(Gaussian, GatherSimdMatchesDirect) {
       ASSERT_EQ(gathered.at(i, j, k), gathered_z.at(i, j, k))
           << i << "," << j << "," << k;
     });
-    // Border ring falls back to the exact clamped kernel.
-    for (std::uint32_t j = 0; j < e.ny; ++j) {
-      for (std::uint32_t i = 0; i < e.nx; ++i) {
-        ASSERT_EQ(direct.at(i, j, 0), gathered.at(i, j, 0));
-        ASSERT_EQ(direct.at(i, j, e.nz - 1), gathered.at(i, j, e.nz - 1));
-      }
-    }
   }
 }
 

@@ -3,8 +3,11 @@
 //    its per-axis terms, exhaustively on pow2, anisotropic and odd shapes;
 //  * every layout's gather_row agrees with element-wise at() for every
 //    axis, start position and length, and reports its real contiguous runs;
-//  * gather_plane agrees with an at() walk for all three pencil axes on
-//    every layout kind, including the out-of-core bricked views.
+//  * gather_plane agrees with an at_clamped() walk for all three pencil
+//    axes on every layout kind, including the out-of-core bricked views
+//    (the streamed one with a 2-slot budget, so clamped rows go through
+//    pin-ring eviction), on windows flush against, inside and overhanging
+//    every face and at plane positions past either end of the pencil.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -346,41 +349,46 @@ float coded(std::uint32_t i, std::uint32_t j, std::uint32_t k) {
          1000000.0f * static_cast<float>(k);
 }
 
-/// Checks gather_plane through one reused read view against view.at() for
-/// every pencil axis, W in {3, 5}, and windows flush against every face:
-/// each off-pencil origin is 0, a middle value or extent - W, and planes
-/// are drawn at the first, a middle and the last pencil position.
+/// Checks gather_plane through one reused read view against
+/// view.at_clamped() for every pencil axis and W in {3, 5}: each off-pencil
+/// origin is flush against a face (0, extent - W), in the middle, or
+/// overhangs one (-W + 1, -1, extent - W + 1, extent - 1), and planes are
+/// drawn at the first, a middle and the last pencil position and past
+/// either end (-2, extent + 1), so every tap outside the grid is clamped.
 template <class VolT>
 void expect_planes_match(const VolT& vol, const std::string& label) {
   const auto view = core::make_read_view(vol);
   const core::Extents3D& e = vol.extents();
-  const std::uint32_t dims[3] = {e.nx, e.ny, e.nz};
+  const std::int64_t dims[3] = {e.nx, e.ny, e.nz};
   core::PlaneWindow win;
   std::vector<float> out(25);
   for (const core::Axis3 pencil : {core::Axis3::kX, core::Axis3::kY, core::Axis3::kZ}) {
     const auto p = static_cast<unsigned>(pencil);
-    for (const std::uint32_t W : {3u, 5u}) {
+    for (const std::int64_t W : {3, 5}) {
       const auto origins = [&](unsigned axis) {
-        return std::vector<std::uint32_t>{0, (dims[axis] - W) / 2, dims[axis] - W};
+        const std::int64_t n = dims[axis];
+        return std::vector<std::int64_t>{-W + 1, -1, 0, (n - W) / 2, n - W, n - W + 1, n - 1};
       };
       const unsigned u = (p + 1) % 3;
       const unsigned w = (p + 2) % 3;
-      for (const std::uint32_t ou : origins(u)) {
-        for (const std::uint32_t ow : origins(w)) {
-          std::uint32_t o[3] = {0, 0, 0};
+      for (const std::int64_t ou : origins(u)) {
+        for (const std::int64_t ow : origins(w)) {
+          core::SignedCoord3D o{0, 0, 0};
           o[u] = ou;
           o[w] = ow;
-          win.bind(view, pencil, {o[0], o[1], o[2]}, W);
-          for (const std::uint32_t s : {0u, dims[p] / 2, dims[p] - 1}) {
+          win.bind(view, pencil, o, static_cast<std::uint32_t>(W));
+          for (const std::int64_t s : {std::int64_t{-2}, std::int64_t{0}, dims[p] / 2,
+                                       dims[p] - 1, dims[p] + 1}) {
             std::fill(out.begin(), out.end(), -1.0f);
             core::gather_plane(view, win, s, out.data());
             for (std::uint32_t du = 0; du < W; ++du) {
               for (std::uint32_t dv = 0; dv < W; ++dv) {
-                const core::Coord3D c = win.voxel(s, du, dv);
-                ASSERT_EQ(out[du * W + dv], view.at(c.i, c.j, c.k))
-                    << label << " pencil=" << p << " W=" << W << " s=" << s
-                    << " (" << c.i << "," << c.j << "," << c.k << ")";
-                ASSERT_EQ(out[du * W + dv], coded(c.i, c.j, c.k)) << label;
+                const core::SignedCoord3D c = win.voxel(s, du, dv);
+                const core::Coord3D cc = core::clamp_to_edge(c, e);
+                ASSERT_EQ(out[du * W + dv], view.at_clamped(c[0], c[1], c[2]))
+                    << label << " pencil=" << p << " W=" << W << " s=" << s << " ("
+                    << c[0] << "," << c[1] << "," << c[2] << ")";
+                ASSERT_EQ(out[du * W + dv], coded(cc.i, cc.j, cc.k)) << label;
               }
             }
           }
@@ -444,7 +452,7 @@ TEST(GatherPlane, RunStatsEqualTheRowGathersOfThePlane) {
         for (const std::uint32_t s : {1u, 2u, 6u}) {
           core::gather_plane(view, win, s, out.data(), &plane_rs);
           for (std::uint32_t du = 0; du < 5; ++du) {
-            const core::Coord3D c = win.voxel(s, du, 0);
+            const core::Coord3D c = core::clamp_to_edge(win.voxel(s, du, 0), e);
             core::gather_row(grid, win.row, c.i, c.j, c.k, 5, row.data(), &row_rs);
           }
         }

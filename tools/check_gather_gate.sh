@@ -1,10 +1,10 @@
 #!/usr/bin/env bash
 # Gather gate: stencil kernels gather their planes only through
-# core::gather_plane (core/gather.hpp), which serves every separable layout
-# from a per-pencil offset table and falls back to row gathers through the
-# same read view everywhere else. A direct gather_row( call under
-# src/sfcvis/filters/ would fork that path per kernel again, so it fails
-# here.
+# core::gather_plane (core/gather.hpp), the one clamp-to-edge path for every
+# pencil, border pencils included: a per-pencil offset table on every
+# separable layout, row gathers through the same read view everywhere else.
+# A direct gather_row( call under src/sfcvis/filters/ would fork that path
+# per kernel again, so it fails here.
 #
 # Usage: check_gather_gate.sh [repo-root]   (defaults to the script's repo)
 set -u

@@ -2,7 +2,7 @@
 // interleave pattern per (kernel, shape, machine) and record winners in a
 // JSON registry ExecutionContext::resolve_layout() consults.
 //
-//   layout_tuner --kernel=bilateral --size=64 --generations=8 --seed=1 \
+//   layout_tuner --kernel=bilateral --size=64 --generations=8 --seed=1
 //                --registry-out=tuned_layouts.json
 //
 // Fitness is a deterministic traced replay, so a given flag set reproduces
